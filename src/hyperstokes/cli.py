@@ -11,21 +11,13 @@ to stderr and exit with code 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import click
 import numpy as np
 
 from . import dynamics, freefall, geometry, mobility, symmetry
-from .errors import (
-    AssemblyError,
-    BodyConfigError,
-    HyperstokesError,
-    InvalidArgument,
-    NoTranslationalOrientation,
-    SingularPointError,
-    SingularSystemError,
-)
+from .errors import HyperstokesError, InvalidArgument, SingularSystemError
 from .kernel import (
     HyperKernel,
     green_classical,
@@ -36,25 +28,9 @@ from .kernel import (
 )
 from .serialize import csv_text, json_text, load_body
 
-_ERROR_SLUGS = {
-    InvalidArgument: "invalid-argument",
-    SingularPointError: "singular-point",
-    BodyConfigError: "invalid-body",
-    AssemblyError: "assembly",
-    SingularSystemError: "singular-system",
-    NoTranslationalOrientation: "no-translational-orientation",
-}
-
 DEFAULT_ELL = 0.1
 DEFAULT_RESOLUTION = 16.0
 DEFAULT_CONDITION_CEILING = 1e12
-
-
-def _slug(exc: HyperstokesError) -> str:
-    for cls, slug in _ERROR_SLUGS.items():
-        if isinstance(exc, cls):
-            return slug
-    return "error"
 
 
 class _Cli(click.Group):
@@ -62,7 +38,7 @@ class _Cli(click.Group):
         try:
             return super().invoke(ctx)
         except HyperstokesError as exc:
-            click.echo(f"error[{_slug(exc)}]: {exc}", err=True)
+            click.echo(f"error[{exc.slug}]: {exc}", err=True)
             ctx.exit(2)
 
 
@@ -74,7 +50,7 @@ class RunConfig:
     resolution: float = DEFAULT_RESOLUTION
     tol_trans: float | None = None
     tol_symmetry: float = 1e-8
-    output_format: str = "json"
+    format: str = "json"
     condition_ceiling: float = DEFAULT_CONDITION_CEILING
     force: bool = False
 
@@ -87,17 +63,6 @@ class RunConfig:
             raise InvalidArgument("tol-trans must be positive")
         if self.tol_symmetry <= 0:
             raise InvalidArgument("symmetry tolerance must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "resolution": self.resolution,
-            "tol_trans": self.tol_trans,
-            "tol_symmetry": self.tol_symmetry,
-            "format": self.output_format,
-            "condition_ceiling": self.condition_ceiling,
-            "force": self.force,
-        }
 
 
 @dataclass
@@ -144,24 +109,22 @@ def _body_summary(body, mass) -> dict:
     }
 
 
-def _prepare(file: str, config: RunConfig):
-    """Load, discretize and assemble; enforce the condition ceiling."""
-    body = load_body(file)
+def _solve(body, config: RunConfig):
+    """Discretize and compute the resistance tensors; enforce the condition ceiling."""
     dbody = geometry.discretize(body, config.resolution)
-    kern = HyperKernel(ell=config.ell)
-    km = mobility.assemble(dbody, kern)
-    if km.condition > config.condition_ceiling and not config.force:
+    res = mobility.resistance(dbody, HyperKernel(ell=config.ell))
+    if res.condition > config.condition_ceiling and not config.force:
         raise SingularSystemError(
-            f"condition number {km.condition:.3e} exceeds ceiling "
-            f"{config.condition_ceiling:.3e}; rerun with --force to override"
+            f"condition number {res.condition:.3e} at resolution {config.resolution:g} "
+            f"exceeds ceiling {config.condition_ceiling:.3e}; rerun with --force to override"
         )
-    return body, dbody, kern, km
+    return dbody, res
 
 
 def _emit_result(config: RunConfig, body, mass, result) -> None:
     click.echo(
         json_text(
-            {"config": config.to_dict(), "body": _body_summary(body, mass), "result": result}
+            {"config": asdict(config), "body": _body_summary(body, mass), "result": result}
         )
     )
 
@@ -267,10 +230,10 @@ def _solver_options(fn):
               show_default=True)
 def resistance(file, ell, resolution, max_condition, force, fmt):
     """Resistance tensors K, S, C, B and the grand matrix A."""
-    cfg = RunConfig(ell=ell, resolution=resolution, output_format=fmt,
+    cfg = RunConfig(ell=ell, resolution=resolution, format=fmt,
                     condition_ceiling=max_condition, force=force)
-    b, dbody, kern, km = _prepare(file, cfg)
-    res = mobility.resistance(dbody, kern, matrix=km)
+    b = load_body(file)
+    dbody, res = _solve(b, cfg)
     if fmt == "csv":
         rows = []
         for name, mat in (("K", res.K), ("S", res.S), ("C", res.C), ("B", res.B)):
@@ -296,8 +259,8 @@ def freefall_cmd(file, ell, resolution, max_condition, force, tol_trans, axis):
     """Steady free-fall states (lambda, g, xi, omega) of a body."""
     cfg = RunConfig(ell=ell, resolution=resolution, tol_trans=tol_trans,
                     condition_ceiling=max_condition, force=force)
-    b, dbody, kern, km = _prepare(file, cfg)
-    res = mobility.resistance(dbody, kern, matrix=km)
+    b = load_body(file)
+    dbody, res = _solve(b, cfg)
     inp = freefall.FreefallInput.from_body(dbody, res)
     states = freefall.steady_states(inp, tol_trans=tol_trans)
     f_mat = None
@@ -344,28 +307,13 @@ def symmetry_cmd(file, ell, resolution, max_condition, force, transform,
     """Symmetry checks: invariance, transformation law, tensor patterns."""
     cfg = RunConfig(ell=ell, resolution=resolution, tol_symmetry=tol,
                     condition_ceiling=max_condition, force=force)
-    b, dbody, kern, km = _prepare(file, cfg)
-    res = mobility.resistance(dbody, kern, matrix=km)
+    b = load_body(file)
+    dbody, res = _solve(b, cfg)
     q = np.asarray(transform, dtype=float).reshape(3, 3) if transform else None
     report = symmetry.symmetry_report(
         dbody, res, Q=q, plane_axis=plane_axis, heli_axis=heli_axis, tol=tol
     )
-    _emit_result(cfg, b, dbody.mass, {
-        "Q": report.Q,
-        "det": report.det,
-        "invariance_error": report.invariance_error,
-        "invariant": report.invariant,
-        "tensor_residuals": (
-            None if report.tensor_residuals is None else list(report.tensor_residuals)
-        ),
-        "plane_axis": report.plane_axis,
-        "plane_pattern": report.plane_pattern,
-        "heli_axis": report.heli_axis,
-        "heli_pattern": report.heli_pattern,
-        "fore_aft": report.fore_aft,
-        "translational_g": report.translational_g,
-        "coupling_nullity": report.coupling_nullity,
-    })
+    _emit_result(cfg, b, dbody.mass, asdict(report))
 
 
 @main.command("fall-sim")
@@ -377,8 +325,8 @@ def fall_sim(file, ell, resolution, max_condition, force, g0, dt, t_end):
     """Integrate the orientation kinematics; emits a trajectory CSV."""
     cfg = RunConfig(ell=ell, resolution=resolution,
                     condition_ceiling=max_condition, force=force)
-    b, dbody, kern, km = _prepare(file, cfg)
-    res = mobility.resistance(dbody, kern, matrix=km)
+    b = load_body(file)
+    dbody, res = _solve(b, cfg)
     inp = freefall.FreefallInput.from_body(dbody, res)
     g_start = np.asarray(g0, dtype=float)
     norm = np.linalg.norm(g_start)
@@ -401,8 +349,8 @@ def fixed_points(file, ell, resolution, max_condition, force, grid):
     """Orientations with G x omega(G) = 0 (steady-fall cross-check)."""
     cfg = RunConfig(ell=ell, resolution=resolution,
                     condition_ceiling=max_condition, force=force)
-    b, dbody, kern, km = _prepare(file, cfg)
-    res = mobility.resistance(dbody, kern, matrix=km)
+    b = load_body(file)
+    dbody, res = _solve(b, cfg)
     inp = freefall.FreefallInput.from_body(dbody, res)
     result = dynamics.find_fixed_points(inp, grid_resolution=grid)
     _emit_result(cfg, b, dbody.mass, {
@@ -433,15 +381,7 @@ def convergence(file, ell, resolutions, max_condition, force):
     prev_k = None
     for r in res_list:
         cfg = RunConfig(ell=ell, resolution=r, condition_ceiling=max_condition, force=force)
-        dbody = geometry.discretize(b, r)
-        kern = HyperKernel(ell=ell)
-        km = mobility.assemble(dbody, kern)
-        if km.condition > max_condition and not force:
-            raise SingularSystemError(
-                f"condition number {km.condition:.3e} at resolution {r} exceeds "
-                f"ceiling; rerun with --force"
-            )
-        res = mobility.resistance(dbody, kern, matrix=km)
+        _, res = _solve(b, cfg)
         diff = None if prev_k is None else float(np.linalg.norm(res.K - prev_k))
         rows.append([r, res.n_nodes, *res.K.ravel().tolist(), diff])
         prev_k = res.K

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.spatial import cKDTree
 
-from .errors import InvalidArgument, SingularSystemError
-from .freefall import FreefallInput, skew
+from .errors import InvalidArgument
+from .freefall import FreefallInput, require_regular, skew
 
 __all__ = [
     "OrientationTrajectory",
@@ -39,14 +39,10 @@ __all__ = [
     "fibonacci_sphere",
 ]
 
-_COND_LIMIT = 1e14
-
 
 def motion_operator(inp: FreefallInput):
     """Matrices (L_xi, L_omega) with xi = L_xi G and omega = L_omega G."""
-    a = inp.resistance.A
-    if not np.all(np.isfinite(a)) or np.linalg.cond(a) > _COND_LIMIT:
-        raise SingularSystemError("grand resistance matrix singular")
+    a = require_regular(inp.resistance.A, "grand resistance matrix")
     rhs = np.vstack([inp.m_e * np.eye(3), -inp.m_c * skew(inp.r)])
     sol = np.linalg.solve(a, rhs)
     return sol[:3], sol[3:]

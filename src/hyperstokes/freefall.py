@@ -33,6 +33,7 @@ __all__ = [
     "verify",
     "tilt_angle",
     "skew",
+    "require_regular",
 ]
 
 _COND_LIMIT = 1e14
@@ -95,19 +96,20 @@ class SteadyState:
     note: str = field(default="")
 
 
-def _solve_3x3(mat: np.ndarray, what: str) -> np.ndarray:
+def require_regular(mat: np.ndarray, what: str) -> np.ndarray:
+    """``mat`` itself if finite with condition <= _COND_LIMIT, else SingularSystemError."""
     if not np.all(np.isfinite(mat)) or np.linalg.cond(mat) > _COND_LIMIT:
         raise SingularSystemError(f"{what} singular")
-    return np.linalg.inv(mat)
+    return mat
 
 
 def build_F(inp: FreefallInput) -> np.ndarray:
     """F = (C K^{-1} S - B)^{-1} (m_e C K^{-1} + m_c [r]_x)."""
     res = inp.resistance
-    k_inv = _solve_3x3(res.K, "translation tensor")
+    k_inv = np.linalg.inv(require_regular(res.K, "translation tensor"))
     ck = res.C @ k_inv
     core = ck @ res.S - res.B
-    core_inv = _solve_3x3(core, "grand resistance matrix")
+    core_inv = np.linalg.inv(require_regular(core, "grand resistance matrix"))
     return core_inv @ (inp.m_e * ck + inp.m_c * skew(inp.r))
 
 
@@ -156,7 +158,7 @@ def steady_states(inp: FreefallInput, tol_trans: float | None = None) -> list[St
     """
     res = inp.resistance
     scale = inp.residual_scale
-    k_inv = _solve_3x3(res.K, "translation tensor")
+    k_inv = np.linalg.inv(require_regular(res.K, "translation tensor"))
     ck = res.C @ k_inv
     torque_bound = inp.m_e * np.linalg.norm(ck, 2) + inp.m_c * np.linalg.norm(inp.r)
     states: list[SteadyState] = []

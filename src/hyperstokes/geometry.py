@@ -266,10 +266,12 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     """Composite-midpoint quadrature with at least ``resolution`` nodes per unit length.
 
     Every edge is split uniformly into ceil(length * resolution) elements,
-    one node per element midpoint, weight = element length.  Midpoint nodes
-    avoid duplicated junction points where segments meet, so the kernel
-    matrix never sees coincident nodes.  The node set is finally shifted so
-    the density-weighted center of mass sits at the origin.
+    one node per element midpoint, weight = element length.  The product is
+    shrunk by 1e-12 relative before rounding up, so a length that roundoff
+    (e.g. from a rotation) puts one ulp above an integer count keeps that
+    count.  Midpoint nodes avoid duplicated junction points where segments
+    meet, so the kernel matrix never sees coincident nodes.  The node set is
+    finally shifted so the density-weighted center of mass sits at the origin.
     """
     if not (np.isfinite(resolution) and resolution > 0.0):
         raise InvalidArgument(f"resolution must be positive, got {resolution}")
@@ -280,7 +282,7 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     densities = []
     for p0, p1, rho in _edges(body):
         ell = float(np.linalg.norm(p1 - p0))
-        n = ceil(ell * resolution)
+        n = max(1, ceil(ell * resolution * (1.0 - 1e-12)))
         t = (np.arange(n) + 0.5) / n
         nodes.append(p0 + t[:, None] * (p1 - p0))
         weights.append(np.full(n, ell / n))

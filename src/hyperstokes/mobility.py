@@ -68,15 +68,20 @@ class KernelMatrix:
     _factor: tuple
     _sqrt_w: np.ndarray
 
-    def solve_symmetrized(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve Mt y = rhs in the W^{1/2}-scaled variables."""
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """Force density f with (M W) f = u, for u of shape (3N,) or (3N, k).
+
+        Solves Mt y = W^{1/2} u in the symmetrized variables; f = W^{-1/2} y.
+        """
+        sw = self._sqrt_w if u.ndim == 1 else self._sqrt_w[:, None]
         if self.positive_definite:
-            return cho_solve(self._factor, rhs)
-        ldu, ipiv, sytrs = self._factor
-        x, info = sytrs(ldu, ipiv, rhs, lower=1)
-        if info != 0:
-            raise SingularSystemError(f"symmetric-indefinite solve failed (info={info})")
-        return x
+            y = cho_solve(self._factor, sw * u)
+        else:
+            ldu, ipiv, sytrs = self._factor
+            y, info = sytrs(ldu, ipiv, sw * u, lower=1)
+            if info != 0:
+                raise SingularSystemError(f"symmetric-indefinite solve failed (info={info})")
+        return y / sw
 
 
 def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
@@ -151,8 +156,7 @@ def _rigid_data(nodes: np.ndarray, xi, omega) -> np.ndarray:
 def solve_rigid(km: KernelMatrix, xi, omega) -> np.ndarray:
     """Force density (N, 3) realizing the rigid velocity xi + omega x x on the body."""
     u = _rigid_data(km.body.nodes, xi, omega)
-    y = km.solve_symmetrized(km._sqrt_w * u.ravel())
-    return (y / km._sqrt_w).reshape(-1, 3)
+    return km.solve(u.ravel()).reshape(-1, 3)
 
 
 def force_torque(f: np.ndarray, dbody: DiscretizedBody):
@@ -192,8 +196,9 @@ class ResistanceSet:
     spin_axis: np.ndarray | None = None
 
     @classmethod
-    def from_blocks(cls, K, S, C, B, n_nodes: int = 0, condition: float = np.nan):
-        """Assemble a ResistanceSet from given 3x3 blocks (synthetic inputs)."""
+    def from_blocks(cls, K, S, C, B, n_nodes: int = 0, condition: float = np.nan,
+                    spin_nullity: int = 0, spin_axis: np.ndarray | None = None):
+        """Assemble a ResistanceSet from 3x3 blocks and compute its diagnostics."""
         K, S, C, B = (np.asarray(m, dtype=float) for m in (K, S, C, B))
         a = np.block([[K, S], [C, B]])
         asym = float(np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-300))
@@ -208,6 +213,8 @@ class ResistanceSet:
             condition=condition,
             asymmetry=asym,
             min_eigenvalue=min_eig,
+            spin_nullity=spin_nullity,
+            spin_axis=spin_axis,
         )
 
 
@@ -244,23 +251,12 @@ def resistance(
         e = np.zeros(3)
         e[i] = 1.0
         u[:, :, 3 + i] = np.cross(np.broadcast_to(e, (n, 3)), x)
-    rhs = u.reshape(3 * n, 6) * km._sqrt_w[:, None]
-    y = km.solve_symmetrized(rhs)
-    f = (y / km._sqrt_w[:, None]).reshape(n, 3, 6)
+    f = km.solve(u.reshape(3 * n, 6)).reshape(n, 3, 6)
     a = np.einsum("k,kia,kib->ab", w, u, f)
     nullity, axis = _spin_degeneracy(x)
-    return ResistanceSet(
-        K=a[:3, :3].copy(),
-        S=a[:3, 3:].copy(),
-        C=a[3:, :3].copy(),
-        B=a[3:, 3:].copy(),
-        A=a,
-        n_nodes=n,
-        condition=km.condition,
-        asymmetry=float(np.linalg.norm(a - a.T) / np.linalg.norm(a)),
-        min_eigenvalue=float(np.linalg.eigvalsh(0.5 * (a + a.T)).min()),
-        spin_nullity=nullity,
-        spin_axis=axis,
+    return ResistanceSet.from_blocks(
+        a[:3, :3].copy(), a[:3, 3:].copy(), a[3:, :3].copy(), a[3:, 3:].copy(),
+        n_nodes=n, condition=km.condition, spin_nullity=nullity, spin_axis=axis,
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NoTranslationalOrientation
+from .errors import InvalidArgument, NoTranslationalOrientation
 from .geometry import DiscretizedBody, ensure_orthogonal
 from .mobility import ResistanceSet
 
@@ -46,7 +46,7 @@ _INVARIANCE_RTOL = 1e-9
 def _axes(axis: int):
     """Map a 1-based symmetry axis to (axis index, other two indices)."""
     if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+        raise InvalidArgument(f"axis must be 1, 2 or 3, got {axis}")
     n = axis - 1
     p, q = [i for i in range(3) if i != n]
     return n, p, q

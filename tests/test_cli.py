@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hyperstokes import bent_rod, octahedron_frame, rod
+from hyperstokes import HyperstokesError, bent_rod, octahedron_frame, rod
 from hyperstokes.cli import PhysicalParams, main, nondim
 from hyperstokes.serialize import body_from_dict, body_to_dict, json_text, load_body
 
@@ -158,6 +158,7 @@ class TestResistanceCommand:
         )
         assert refused.exit_code == 2
         assert refused.stderr.startswith("error[singular-system]")
+        assert "at resolution 8 " in refused.stderr
         forced = runner.invoke(
             main,
             ["resistance", rod_file, "--resolution", "8", "--max-condition", "1",
@@ -267,6 +268,14 @@ class TestTrajectoryCommands:
         d2 = float(lines[3].split(",")[-1])
         assert d1 > d2 > 0.0
 
+    def test_convergence_ceiling_names_resolution(self, runner, rod_file):
+        result = runner.invoke(
+            main, ["convergence", rod_file, "--resolutions", "4,8", "--max-condition", "1"]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[singular-system]")
+        assert "at resolution 4 " in result.stderr
+
     def test_convergence_rejects_garbage_resolutions(self, runner, rod_file):
         result = runner.invoke(
             main, ["convergence", rod_file, "--resolutions", "a,b"]
@@ -301,3 +310,30 @@ class TestSymmetryCommand:
         )
         assert result.exit_code == 2
         assert result.stderr.startswith("error[invalid-argument]")
+
+
+class TestErrorSlugs:
+    def test_slugs_distinct_and_non_empty(self):
+        classes = [HyperstokesError, *HyperstokesError.__subclasses__()]
+        slugs = [cls.slug for cls in classes]
+        assert all(slugs)
+        assert len(set(slugs)) == len(slugs)
+
+    def test_duplicate_segments_fail_assembly(self, runner, tmp_path):
+        data = body_to_dict(rod(1.0))
+        data["segments"] = data["segments"] * 2
+        path = tmp_path / "twice.json"
+        path.write_text(json_text(data))
+        result = runner.invoke(main, ["resistance", str(path), "--resolution", "4"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[assembly]")
+
+    @pytest.mark.parametrize("args", [
+        ["fixed-points", "--grid", "200"],
+        ["fall-sim", "--g0", "0", "0", "1", "--dt", "0.1", "--t-end", "0.2"],
+    ])
+    def test_rod_has_no_orientation_flow(self, runner, rod_file, args):
+        # the rod resists no spin about its axis, so A is singular
+        result = runner.invoke(main, [args[0], rod_file, "--resolution", "8", *args[1:]])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[singular-system]")

@@ -207,6 +207,17 @@ class TestTransform:
         # translation drops out: both are centered on the center of mass
         assert np.allclose(direct.nodes, mapped, atol=1e-13)
 
+    def test_node_count_rotation_invariant(self, bodies, rng):
+        # a rotation that lengthens an edge by an ulp must not add an element
+        from scipy.stats import ortho_group
+
+        for name, body in bodies.items():
+            counts = {res: discretize(body, res).n_nodes for res in (8, 16, 32)}
+            for q in ortho_group.rvs(3, size=40, random_state=rng):
+                rotated = transform(body, q)
+                for res, n in counts.items():
+                    assert discretize(rotated, res).n_nodes == n, (name, res)
+
 
 class TestBuilders:
     def test_rod_endpoints(self):

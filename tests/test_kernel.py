@@ -19,6 +19,8 @@ from hyperstokes import (
 from hyperstokes.kernel import (
     _factors_closed,
     _factors_over_s_series,
+    _horner,
+    _series_coeffs,
     dyadic_factor,
     identity_factor,
 )
@@ -185,15 +187,11 @@ class TestBranchesAndFactors:
         assert dyad_c[0] == pytest.approx(yr[0] * s[0], rel=1e-12)
 
     def test_green_branch_continuity(self):
+        # the two branches of green_scalar, (1 - e^{-s})/s closed and by series
+        _, _, coeffs = _series_coeffs(HyperKernel.series_terms)
         for thr in (0.05, 0.1, 0.5):
-            below = HyperKernel(ell=1.0, series_threshold=thr)
-            above = HyperKernel(ell=1.0, series_threshold=thr / 2.0)
-            x = np.array([thr, 0.0, 0.0])
-            # below-threshold kernel uses the series branch at s = thr/1,
-            # the other one the closed branch
-            g_series = float(green_scalar(x * (1 - 1e-16), below))
-            g_closed = float(green_scalar(x, above))
-            assert g_series == pytest.approx(g_closed, rel=1e-12)
+            s = np.array([thr])
+            assert _horner(coeffs, s)[0] == pytest.approx(-np.expm1(-thr) / thr, rel=1e-12)
 
     def test_factor_limits(self):
         k = HyperKernel(ell=1.0)
@@ -288,12 +286,3 @@ class TestHyperKernelValidation:
     def test_bad_ell(self, bad):
         with pytest.raises(InvalidArgument):
             HyperKernel(ell=bad)
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, 1.0])
-    def test_bad_threshold(self, bad):
-        with pytest.raises(InvalidArgument):
-            HyperKernel(ell=1.0, series_threshold=bad)
-
-    def test_bad_terms(self):
-        with pytest.raises(InvalidArgument):
-            HyperKernel(ell=1.0, series_terms=5)

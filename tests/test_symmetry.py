@@ -6,6 +6,7 @@ import pytest
 from hyperstokes import (
     BodyGeometry,
     FreefallInput,
+    InvalidArgument,
     NoTranslationalOrientation,
     ResistanceSet,
     Segment,
@@ -157,8 +158,10 @@ class TestPatterns:
     def test_pattern_axis_validation(self):
         res = ResistanceSet.from_blocks(np.eye(3), np.zeros((3, 3)),
                                         np.zeros((3, 3)), np.eye(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             check_plane_pattern(res, 0)
+        with pytest.raises(InvalidArgument):
+            check_plane_pattern(res, 4)
 
 
 class TestTranslationalOrientation:
