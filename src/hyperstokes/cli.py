@@ -325,13 +325,14 @@ def fall_sim(file, ell, resolution, max_condition, force, g0, dt, t_end):
     """Integrate the orientation kinematics; emits a trajectory CSV."""
     cfg = RunConfig(ell=ell, resolution=resolution,
                     condition_ceiling=max_condition, force=force)
-    b = load_body(file)
-    dbody, res = _solve(b, cfg)
-    inp = freefall.FreefallInput.from_body(dbody, res)
     g_start = np.asarray(g0, dtype=float)
     norm = np.linalg.norm(g_start)
     if norm == 0.0 or not np.all(np.isfinite(g_start)):
         raise InvalidArgument("--g0 must be a nonzero finite vector")
+    dynamics.check_time_grid(dt, t_end)
+    b = load_body(file)
+    dbody, res = _solve(b, cfg)
+    inp = freefall.FreefallInput.from_body(dbody, res)
     traj = dynamics.integrate_orientation(inp, g_start / norm, dt, t_end)
     rows = [
         [traj.t[k], *traj.G[k], *traj.xi[k], *traj.omega[k]]

@@ -34,6 +34,7 @@ __all__ = [
     "FixedPointResult",
     "motion_operator",
     "instantaneous_motion",
+    "check_time_grid",
     "integrate_orientation",
     "find_fixed_points",
     "fibonacci_sphere",
@@ -71,12 +72,17 @@ class OrientationTrajectory:
     aborted: bool = False
 
 
+def check_time_grid(dt: float, t_end: float) -> None:
+    """Raise InvalidArgument unless the step and the end time are positive and finite."""
+    if not (np.isfinite(dt) and dt > 0.0) or not (np.isfinite(t_end) and t_end > 0.0):
+        raise InvalidArgument("dt and t_end must be positive")
+
+
 def integrate_orientation(
     inp: FreefallInput, G0, dt: float, t_end: float
 ) -> OrientationTrajectory:
     """Classical RK4 on dG/dt = G x omega(G), renormalizing after each step."""
-    if not (np.isfinite(dt) and dt > 0.0) or not (np.isfinite(t_end) and t_end > 0.0):
-        raise InvalidArgument("dt and t_end must be positive")
+    check_time_grid(dt, t_end)
     g = np.asarray(G0, dtype=float)
     if g.shape != (3,) or abs(np.linalg.norm(g) - 1.0) > 1e-8:
         raise InvalidArgument("G0 must be a unit 3-vector")

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+_DIAMETER_CHUNK_PAIRS = 250_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +161,14 @@ def _edges(body: BodyGeometry):
 
 
 def _cloud_diameter(points: np.ndarray) -> float:
-    if len(points) == 1:
-        return 0.0
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.max()))
+    """Largest pairwise distance, over row chunks of about 250k pairs each."""
+    n = len(points)
+    chunk = max(1, _DIAMETER_CHUNK_PAIRS // n)
+    d2 = max(
+        np.sum((points[lo : lo + chunk, None, :] - points[None, :, :]) ** 2, axis=-1).max()
+        for lo in range(0, n, chunk)
+    )
+    return float(np.sqrt(d2))
 
 
 def total_length(body: BodyGeometry) -> float:

@@ -29,18 +29,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import pi
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import AssemblyError, InvalidArgument, SingularSystemError
 from .geometry import DiscretizedBody
-from .kernel import HyperKernel, oseen_tensor
+from .kernel import HyperKernel, _factors_over_s, oseen_tensor
 
 __all__ = [
     "KernelMatrix",
     "ResistanceSet",
     "assemble",
+    "symmetrized_matrix",
     "solve_rigid",
     "force_torque",
     "resistance",
@@ -48,21 +50,21 @@ __all__ = [
     "dissipation",
 ]
 
-_ASSEMBLY_CHUNK_ENTRIES = 2_000_000  # pairwise Z values held at once
+_ASSEMBLY_CHUNK_PAIRS = 50_000  # node pairs per fill step; its ~3.6 MB of output stays in cache
 
 
 @dataclass(eq=False)
 class KernelMatrix:
-    """Assembled and factorized collocation system for one body and kernel.
+    """Factorized collocation system for one body and kernel.
 
-    ``matrix`` is the symmetrized system W^{1/2} M W^{1/2}; ``condition``
-    is a LAPACK 1-norm estimate.  ``positive_definite`` records whether the
-    Cholesky factorization succeeded.
+    Only the factor of the symmetrized system W^{1/2} M W^{1/2} is kept
+    (:func:`symmetrized_matrix` returns the system itself); ``condition`` is
+    a LAPACK 1-norm estimate for it.  ``positive_definite`` records whether
+    the Cholesky factorization succeeded.
     """
 
     body: DiscretizedBody
     kernel: HyperKernel
-    matrix: np.ndarray
     condition: float
     positive_definite: bool
     _factor: tuple
@@ -84,64 +86,95 @@ class KernelMatrix:
         return y / sw
 
 
-def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
-    """Build and factorize the symmetrized kernel matrix.
+def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarray:
+    """The symmetrized system W^{1/2} M W^{1/2} as a Fortran-order (3N, 3N) array.
 
-    Raises AssemblyError for (near-)coincident nodes and SingularSystemError
-    if both the Cholesky and the symmetric-indefinite factorization fail.
+    Block (k, l) is sqrt(w_k w_l) Z(d) with d = x_k - x_l, filled from the
+    two scalars a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as
+    b d_i d_j + a delta_ij (times sqrt(w_k w_l) / (8 pi ell)).  Swapping k
+    and l only flips the sign of d, and each of the six distinct components
+    is computed once and written to both (i, j) and (j, i), so the matrix
+    equals its transpose bit for bit.
+
+    Raises AssemblyError for (near-)coincident nodes.
     """
     x = dbody.nodes
     w = dbody.weights
     n = len(x)
-    size = 3 * n
-    mt = np.empty((size, size))
-    sw = np.repeat(np.sqrt(w), 3)
-    diam = max(dbody.diameter, 1e-300)
-    chunk = max(1, _ASSEMBLY_CHUNK_ENTRIES // max(n, 1))
+    mt = np.empty((3 * n, 3 * n), order="F")
+    blocks = mt.T.reshape(n, 3, n, 3)  # blocks[l, j, k, i] = mt[3k + i, 3l + j]
+    scale = 1.0 / (8.0 * pi * kernel.ell)
+    spacing = np.inf
+    diam = 0.0
+    chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(n, 1))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        diff = x[lo:hi, None, :] - x[None, :, :]
-        r = np.linalg.norm(diff, axis=-1)
+        d = x[lo:hi, None, :] - x[None, :, :]
+        r2 = (d * d).sum(axis=-1)
+        r = np.sqrt(r2)
+        diam = max(diam, r.max())
         np.fill_diagonal(r[:, lo:hi], np.inf)
-        if r.min() < 1e-12 * diam:
-            raise AssemblyError(
-                f"coincident quadrature nodes (min spacing {r.min():.3e})"
-            )
-        blocks = oseen_tensor(diff, kernel)  # (hi-lo, n, 3, 3)
-        mt[3 * lo : 3 * hi] = blocks.transpose(0, 2, 1, 3).reshape(3 * (hi - lo), size)
-    mt *= sw[:, None]
-    mt *= sw[None, :]
+        spacing = min(spacing, r.min())
+        np.fill_diagonal(r[:, lo:hi], 0.0)
+        a, b = _factors_over_s(r / kernel.ell, kernel)
+        c = np.sqrt(w[lo:hi, None] * w[None, :]) * scale
+        a *= c
+        b *= c
+        b /= np.where(r2 > 0.0, r2, 1.0)  # d = 0 only on the diagonal, where b = 0
+        for i in range(3):
+            for j in range(i, 3):
+                comp = b * (d[..., i] * d[..., j])
+                if i == j:
+                    comp += a
+                blocks[lo:hi, j, :, i] = comp
+                blocks[lo:hi, i, :, j] = comp
+    if spacing < 1e-12 * max(diam, 1e-300):
+        raise AssemblyError(f"coincident quadrature nodes (min spacing {spacing:.3e})")
+    return mt
 
-    anorm = np.abs(mt).sum(axis=0).max()
-    positive_definite = True
+
+def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
+    """Fill the symmetrized kernel matrix and factorize it in place.
+
+    Raises AssemblyError for (near-)coincident nodes and SingularSystemError
+    if both the Cholesky and the symmetric-indefinite factorization fail.
+    """
+    mt = symmetrized_matrix(dbody, kernel)
+    lange, pocon = get_lapack_funcs(("lange", "pocon"), (mt,))
+    anorm = lange("1", mt)
     try:
-        factor = cho_factor(mt, lower=True)
-        pocon = get_lapack_funcs("pocon", (mt,))
-        rcond, _ = pocon(factor[0], anorm, uplo="L")
+        factor = cho_factor(mt, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
+        factor = None
+    if factor is not None:
+        positive_definite = True
+        rcond, _ = pocon(factor[0], anorm, uplo="L")
+    else:
         positive_definite = False
         warnings.warn(
             "kernel matrix is not positive definite; falling back to a "
             "symmetric-indefinite factorization",
             stacklevel=2,
         )
+        # the failed Cholesky factorization overwrote mt: fill it again
+        del mt
+        mt = symmetrized_matrix(dbody, kernel)
         sytrf, sytrs, sycon = get_lapack_funcs(("sytrf", "sytrs", "sycon"), (mt,))
-        ldu, ipiv, info = sytrf(mt, lower=1)
+        ldu, ipiv, info = sytrf(mt, lower=1, overwrite_a=1)
         if info != 0:
             raise SingularSystemError(
                 f"kernel matrix factorization failed (sytrf info={info})"
-            ) from None
+            )
         factor = (ldu, ipiv, sytrs)
         rcond, _ = sycon(ldu, ipiv, anorm, lower=1)
     condition = 1.0 / rcond if rcond > 0.0 else np.inf
     return KernelMatrix(
         body=dbody,
         kernel=kernel,
-        matrix=mt,
         condition=float(condition),
         positive_definite=positive_definite,
         _factor=factor,
-        _sqrt_w=sw,
+        _sqrt_w=np.repeat(np.sqrt(dbody.weights), 3),
     )
 
 

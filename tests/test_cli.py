@@ -246,6 +246,18 @@ class TestTrajectoryCommands:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--g0", "0", "0", "0", "--dt", "0.01"],
+        ["--g0", "0", "0", "1", "--dt", "0"],
+    ])
+    def test_fall_sim_checks_arguments_before_solving(self, runner, bent_file, args):
+        # a ceiling of 1 refuses every solve, so only a check made first reports
+        result = runner.invoke(
+            main, ["fall-sim", bent_file, "--max-condition", "1", *args, "--t-end", "0.1"]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[invalid-argument]")
+
     def test_fixed_points_octahedron(self, runner, octa_file):
         result = runner.invoke(
             main, ["fixed-points", octa_file, "--resolution", "8", "--grid", "200"]

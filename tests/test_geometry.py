@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hyperstokes import geometry
 from hyperstokes import (
     BodyConfigError,
     BodyGeometry,
@@ -128,6 +129,15 @@ class TestDiscretize:
         )
         np.fill_diagonal(d2, np.inf)
         assert d2.min() > 1e-6
+
+    @pytest.mark.parametrize("chunk_pairs", [250_000, 997])
+    def test_diameter_matches_one_shot_formula(self, bodies, monkeypatch, chunk_pairs):
+        monkeypatch.setattr(geometry, "_DIAMETER_CHUNK_PAIRS", chunk_pairs)
+        for name, body in bodies.items():
+            dbody = discretize(body, 16)
+            x = dbody.nodes
+            d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+            assert dbody.diameter == float(np.sqrt(d2.max())), name
 
     def test_bad_resolution(self):
         with pytest.raises(InvalidArgument):

@@ -1,6 +1,7 @@
 """Boundary-integral solver: reciprocity, definiteness, equivariance, convergence."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from math import pi
 
@@ -20,13 +21,15 @@ from hyperstokes import (
     discretize,
     disturbance_velocity,
     force_torque,
+    helix,
+    oseen_tensor,
     resistance,
     rod,
     solve_rigid,
     transform,
     tripod_tetrahedron,
 )
-from hyperstokes.mobility import dissipation
+from hyperstokes.mobility import dissipation, symmetrized_matrix
 
 
 def single_node_body(ell=1.0):
@@ -38,13 +41,14 @@ class TestAssemble:
     def test_single_node_matrix(self):
         dbody = single_node_body()
         km = assemble(dbody, HyperKernel(ell=1.0))
-        assert np.allclose(km.matrix, np.eye(3) / (6.0 * pi), rtol=1e-14)
+        mt = symmetrized_matrix(dbody, HyperKernel(ell=1.0))
+        assert np.allclose(mt, np.eye(3) / (6.0 * pi), rtol=1e-14)
         assert km.positive_definite
         assert km.condition >= 1.0
 
     def test_matrix_exactly_symmetric(self, kernel):
-        km = assemble(discretize(tripod_tetrahedron(1.0), 8), kernel)
-        assert np.array_equal(km.matrix, km.matrix.T)
+        mt = symmetrized_matrix(discretize(tripod_tetrahedron(1.0), 8), kernel)
+        assert np.array_equal(mt, mt.T)
 
     def test_distant_pair_block_matches_classical_oseen(self, kernel):
         # two single-node stubs 1e4 * ell apart
@@ -55,14 +59,43 @@ class TestAssemble:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # intentionally disconnected
             dbody = discretize(body, 1.0)
-        km = assemble(dbody, kernel)
+        mt = symmetrized_matrix(dbody, kernel)
         w = dbody.weights[0]
-        block = km.matrix[0:3, 3:6] / w  # sqrt(w1) sqrt(w2) = w here
+        block = mt[0:3, 3:6] / w  # sqrt(w1) sqrt(w2) = w here
         separation = dbody.nodes[1] - dbody.nodes[0]
         assert np.allclose(block, classical_oseen(separation), rtol=1e-7)
         assert np.linalg.norm(block, 2) == pytest.approx(
             2.0 / (8.0 * pi * gap), rel=1e-6
         )
+
+    @pytest.mark.parametrize("name, resolution", [
+        ("rod", 8), ("bent_rod", 8), ("tripod", 8), ("octahedron", 8), ("helix", 8),
+        ("helix", 128),  # neighbour pairs at s < 0.1 take the series branch
+    ])
+    def test_fill_matches_oseen_blocks(self, bodies, kernel, name, resolution):
+        dbody = discretize(bodies[name], resolution)
+        x, w, n = dbody.nodes, dbody.weights, dbody.n_nodes
+        mt = symmetrized_matrix(dbody, kernel)
+        ref = np.sqrt(w[:, None, None, None] * w[None, :, None, None]) * oseen_tensor(
+            x[:, None, :] - x[None, :, :], kernel
+        )
+        ref = ref.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+        assert np.abs(mt - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.array_equal(mt, mt.T)
+        if resolution == 128:
+            spacing = np.linalg.norm(x[1:] - x[:-1], axis=1).min()
+            assert spacing < kernel.series_threshold * kernel.ell
+
+    def test_assemble_peak_memory_near_matrix_size(self, kernel):
+        dbody = discretize(helix(0.2, 0.1, 3), 256)
+        matrix_bytes = 8 * (3 * dbody.n_nodes) ** 2
+        tracemalloc.start()
+        try:
+            assemble(dbody, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * matrix_bytes, peak / matrix_bytes
 
     def test_coincident_nodes_rejected(self, kernel):
         seg = Segment(points=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
@@ -266,21 +299,34 @@ class TestEquivarianceViaTransform:
 
 
 class TestIndefiniteFallback:
-    def test_sytrf_path_matches_cholesky(self, kernel, monkeypatch, rng):
-        dbody = discretize(tripod_tetrahedron(1.0), 8)
+    @staticmethod
+    def _fallback_matches_cholesky(dbody, kernel, monkeypatch, rng, stand_in):
         km_pd = assemble(dbody, kernel)
         xi, om = rng.normal(size=3), rng.normal(size=3)
         f_pd = solve_rigid(km_pd, xi, om)
 
         import hyperstokes.mobility as mob
 
-        def refuse(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced for the fallback test")
-
-        monkeypatch.setattr(mob, "cho_factor", refuse)
+        monkeypatch.setattr(mob, "cho_factor", stand_in)
         with pytest.warns(UserWarning, match="not positive definite"):
             km_bk = assemble(dbody, kernel)
         assert not km_bk.positive_definite
         assert km_bk.condition > 1.0
         f_bk = solve_rigid(km_bk, xi, om)
         assert np.allclose(f_bk, f_pd, rtol=1e-10, atol=1e-12 * np.abs(f_pd).max())
+
+    def test_sytrf_path_matches_cholesky(self, kernel, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced for the fallback test")
+
+        dbody = discretize(tripod_tetrahedron(1.0), 8)
+        self._fallback_matches_cholesky(dbody, kernel, monkeypatch, rng, refuse)
+
+    def test_sytrf_path_after_cholesky_overwrote_matrix(self, kernel, monkeypatch, rng):
+        # an in-place Cholesky factorization that fails leaves its input destroyed
+        def destroy_and_refuse(a, *args, **kwargs):
+            a[...] = np.nan
+            raise np.linalg.LinAlgError("forced for the fallback test")
+
+        dbody = discretize(tripod_tetrahedron(1.0), 8)
+        self._fallback_matches_cholesky(dbody, kernel, monkeypatch, rng, destroy_and_refuse)
