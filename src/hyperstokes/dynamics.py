@@ -166,7 +166,8 @@ def find_fixed_points(inp: FreefallInput, grid_resolution: int = 2000) -> FixedP
     refined by least squares on the sphere and accepted below
     1e-8 * (m_e + m_c |r|).  If the residual is below threshold everywhere
     on the grid, the degenerate all-orientations case is reported (with the
-    coordinate axes as representatives).
+    coordinate axes as representatives).  Points are sorted by their
+    coordinates rounded to 8 digits, so roundoff does not reorder them.
     """
     if grid_resolution < 12:
         raise InvalidArgument("grid_resolution must be at least 12")
@@ -195,5 +196,5 @@ def find_fixed_points(inp: FreefallInput, grid_resolution: int = 2000) -> FixedP
         if any(np.linalg.norm(g - gk) < 1e-6 for gk, _ in found):
             continue
         found.append((g, r))
-    found.sort(key=lambda pr: (pr[1], tuple(np.round(pr[0], 12))))
+    found.sort(key=lambda pr: tuple(np.round(pr[0], 8)))
     return FixedPointResult(points=found, all_orientations=False, threshold=threshold)

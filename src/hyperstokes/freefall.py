@@ -155,6 +155,10 @@ def steady_states(inp: FreefallInput, tol_trans: float | None = None) -> list[St
     translational steady state; the three coordinate-axis pairs are then
     returned instead of an arbitrary eigenbasis.  This branch also avoids
     inverting the rotational block, which is singular for collinear bodies.
+
+    States come in (g, -g) pairs in ascending order of lambda; the first of
+    each pair has the largest-magnitude component of g positive, so the
+    order does not depend on the sign an eigensolver gives a vector.
     """
     res = inp.resistance
     scale = inp.residual_scale
@@ -204,6 +208,8 @@ def steady_states(inp: FreefallInput, tol_trans: float | None = None) -> list[St
         kept.append((eigvals[idx].real, vec / np.linalg.norm(vec)))
 
     for lam, g in kept:
+        if g[int(np.argmax(np.abs(g)))] < 0.0:  # the sign eig returns is arbitrary
+            g = -g
         multiplicity = int(np.sum(np.abs(eigvals - lam) <= tol_cluster))
         xi = k_inv @ (inp.m_e * g - lam * (res.S @ g))
         classification = "translational" if abs(lam) <= tol_lambda else "screw"

@@ -27,7 +27,9 @@ T = -(C xi + B omega), with A = [[K, S], [C, B]] symmetric positive
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import pi
 
@@ -75,9 +77,12 @@ class KernelMatrix:
 
         Solves Mt y = W^{1/2} u in the symmetrized variables; f = W^{-1/2} y.
         """
+        if not np.all(np.isfinite(u)):
+            raise InvalidArgument("non-finite boundary data")
         sw = self._sqrt_w if u.ndim == 1 else self._sqrt_w[:, None]
         if self.positive_definite:
-            y = cho_solve(self._factor, sw * u)
+            # the factor's upper triangle was never written, so it is not checked
+            y = cho_solve(self._factor, sw * u, check_finite=False)
         else:
             ldu, ipiv, sytrs = self._factor
             y, info = sytrs(ldu, ipiv, sw * u, lower=1)
@@ -86,38 +91,76 @@ class KernelMatrix:
         return y / sw
 
 
-def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarray:
-    """The symmetrized system W^{1/2} M W^{1/2} as a Fortran-order (3N, 3N) array.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Block (k, l) is sqrt(w_k w_l) Z(d) with d = x_k - x_l, filled from the
-    two scalars a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as
-    b d_i d_j + a delta_ij (times sqrt(w_k w_l) / (8 pi ell)).  Swapping k
-    and l only flips the sign of d, and each of the six distinct components
-    is computed once and written to both (i, j) and (j, i), so the matrix
-    equals its transpose bit for bit.
 
-    Raises AssemblyError for (near-)coincident nodes.
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _column_blocks(n: int) -> list[tuple[int, int]]:
+    """Node ranges [lo, hi) of the fill steps, one column block each."""
+    chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(n, 1))
+    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+def _empty_matrix(n: int) -> np.ndarray:
+    """Uninitialized Fortran-order (3N, 3N) array; refused if it exceeds physical memory."""
+    need = 8 * (3 * n) ** 2
+    have = _physical_memory_bytes()
+    if need > have:
+        raise AssemblyError(
+            f"the {3 * n} x {3 * n} kernel matrix of {n} nodes needs "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
+            "physical memory; lower the resolution"
+        )
+    return np.empty((3 * n, 3 * n), order="F")
+
+
+def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel) -> float:
+    """Fill the lower block triangle of W^{1/2} M W^{1/2} into ``mt``; return its 1-norm.
+
+    Column block [lo, hi) of the nodes gets rows lo:N, so only the blocks
+    (k, l) with k >= l, plus the upper halves of the diagonal square blocks,
+    are written; the rest of ``mt`` is left as it was.  Block (k, l) is
+    sqrt(w_k w_l) Z(d), d = x_k - x_l, filled from the two scalars
+    a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as b d_i d_j + a delta_ij
+    (times sqrt(w_k w_l) / (8 pi ell)).
+
+    The column blocks run on a thread pool (numpy releases the GIL in the
+    ufuncs) and write disjoint columns.  Each returns its minimum node
+    spacing, its largest distance and the absolute sums of its columns and
+    of its rows below the diagonal block; the calling thread combines them
+    in block order, so the result does not depend on thread timing.  By
+    symmetry a row sum below the diagonal block is the sum over the
+    unfilled part of a later column, so the combined sums are the column
+    sums of the full symmetric matrix and their maximum is its 1-norm.
+
+    Raises AssemblyError for (near-)coincident nodes and for a non-finite
+    entry (which makes its column sum, hence the norm, non-finite).
     """
     x = dbody.nodes
     w = dbody.weights
     n = len(x)
-    mt = np.empty((3 * n, 3 * n), order="F")
     blocks = mt.T.reshape(n, 3, n, 3)  # blocks[l, j, k, i] = mt[3k + i, 3l + j]
     scale = 1.0 / (8.0 * pi * kernel.ell)
-    spacing = np.inf
-    diam = 0.0
-    chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d = x[lo:hi, None, :] - x[None, :, :]
+
+    def fill(bounds):
+        lo, hi = bounds
+        d = x[lo:hi, None, :] - x[None, lo:, :]
         r2 = (d * d).sum(axis=-1)
         r = np.sqrt(r2)
-        diam = max(diam, r.max())
-        np.fill_diagonal(r[:, lo:hi], np.inf)
-        spacing = min(spacing, r.min())
-        np.fill_diagonal(r[:, lo:hi], 0.0)
+        diam = r.max()
+        own = r[:, : hi - lo]
+        np.fill_diagonal(own, np.inf)
+        spacing = r.min()
+        np.fill_diagonal(own, 0.0)
         a, b = _factors_over_s(r / kernel.ell, kernel)
-        c = np.sqrt(w[lo:hi, None] * w[None, :]) * scale
+        c = np.sqrt(w[lo:hi, None] * w[None, lo:]) * scale
         a *= c
         b *= c
         b /= np.where(r2 > 0.0, r2, 1.0)  # d = 0 only on the diagonal, where b = 0
@@ -126,28 +169,70 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
                 comp = b * (d[..., i] * d[..., j])
                 if i == j:
                     comp += a
-                blocks[lo:hi, j, :, i] = comp
-                blocks[lo:hi, i, :, j] = comp
+                blocks[lo:hi, j, lo:, i] = comp
+                blocks[lo:hi, i, lo:, j] = comp
+        filled = np.abs(mt[3 * lo:, 3 * lo:3 * hi])
+        return spacing, diam, filled.sum(axis=0), filled[3 * (hi - lo):].sum(axis=1)
+
+    bounds = _column_blocks(n)
+    spacing = np.inf
+    diam = 0.0
+    col_sums = np.zeros(3 * n)
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(bounds))) as pool:
+        for (lo, hi), (sp, dm, own_cols, rows_below) in zip(bounds, pool.map(fill, bounds)):
+            spacing = min(spacing, sp)
+            diam = max(diam, dm)
+            col_sums[3 * lo:3 * hi] += own_cols
+            col_sums[3 * hi:] += rows_below
     if spacing < 1e-12 * max(diam, 1e-300):
         raise AssemblyError(f"coincident quadrature nodes (min spacing {spacing:.3e})")
+    anorm = float(col_sums.max())
+    if not np.isfinite(anorm):
+        raise AssemblyError(f"non-finite entry in the kernel matrix (1-norm {anorm})")
+    return anorm
+
+
+def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarray:
+    """The symmetrized system W^{1/2} M W^{1/2} as a Fortran-order (3N, 3N) array.
+
+    The full matrix, for tests and inspection: the lower block triangle that
+    :func:`assemble` factors, mirrored into the upper one.  Swapping k and l
+    only flips the sign of d, and each of the six distinct components of a
+    block is computed once and written to both (i, j) and (j, i), so the
+    matrix equals its transpose bit for bit.
+
+    Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
+    a matrix larger than physical memory.
+    """
+    n = dbody.n_nodes
+    mt = _empty_matrix(n)
+    _fill_lower(mt, dbody, kernel)
+    for lo, hi in _column_blocks(n):
+        mt[3 * lo:3 * hi, 3 * hi:] = mt[3 * hi:, 3 * lo:3 * hi].T
     return mt
 
 
 def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
-    """Fill the symmetrized kernel matrix and factorize it in place.
+    """Fill the lower triangle of the symmetrized kernel matrix and factorize it in place.
 
-    Raises AssemblyError for (near-)coincident nodes and SingularSystemError
-    if both the Cholesky and the symmetric-indefinite factorization fail.
+    Only the lower triangle is computed, checked and factored; the 1-norm
+    for the condition estimate and the finiteness check come from the fill.
+    The 8 (3N)^2 bytes of the matrix are checked against physical memory
+    before anything is allocated.
+
+    Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
+    a matrix larger than physical memory, and SingularSystemError if both
+    the Cholesky and the symmetric-indefinite factorization fail.
     """
-    mt = symmetrized_matrix(dbody, kernel)
-    lange, pocon = get_lapack_funcs(("lange", "pocon"), (mt,))
-    anorm = lange("1", mt)
+    mt = _empty_matrix(dbody.n_nodes)
+    anorm = _fill_lower(mt, dbody, kernel)
     try:
-        factor = cho_factor(mt, lower=True, overwrite_a=True)
+        factor = cho_factor(mt, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         factor = None
     if factor is not None:
         positive_definite = True
+        pocon = get_lapack_funcs("pocon", (mt,))
         rcond, _ = pocon(factor[0], anorm, uplo="L")
     else:
         positive_definite = False
@@ -156,9 +241,8 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
             "symmetric-indefinite factorization",
             stacklevel=2,
         )
-        # the failed Cholesky factorization overwrote mt: fill it again
-        del mt
-        mt = symmetrized_matrix(dbody, kernel)
+        # the failed Cholesky factorization overwrote the lower triangle
+        _fill_lower(mt, dbody, kernel)
         sytrf, sytrs, sycon = get_lapack_funcs(("sytrf", "sytrs", "sycon"), (mt,))
         ldu, ipiv, info = sytrf(mt, lower=1, overwrite_a=1)
         if info != 0:

@@ -340,6 +340,15 @@ class TestErrorSlugs:
         assert result.exit_code == 2
         assert result.stderr.startswith("error[assembly]")
 
+    def test_matrix_larger_than_memory_fails_assembly(self, runner, rod_file, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 1 << 10)
+        result = runner.invoke(main, ["resistance", rod_file, "--resolution", "64"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[assembly]")
+        assert "physical memory" in result.stderr
+
     @pytest.mark.parametrize("args", [
         ["fixed-points", "--grid", "200"],
         ["fall-sim", "--g0", "0", "0", "1", "--dt", "0.1", "--t-end", "0.2"],

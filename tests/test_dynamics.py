@@ -169,6 +169,45 @@ class TestFindFixedPoints:
             find_fixed_points(spinny_input(), 4)
 
 
+class TestStableOrder:
+    """Roundoff in A or the sign of an eigenvector must not reorder the outputs."""
+
+    @staticmethod
+    def _orders(inp):
+        states = steady_states(inp)
+        points = find_fixed_points(inp, 2000).points
+        return np.array([st.g for st in states]), np.array([g for g, _ in points])
+
+    @pytest.mark.parametrize("name", ["bent_rod", "tripod", "helix"])
+    def test_order_survives_eigenvector_sign_and_roundoff(
+        self, suite_solutions, monkeypatch, rng, name
+    ):
+        dbody, res = suite_solutions[(name, 8)]
+        inp = FreefallInput.from_body(dbody, res)
+        states, points = self._orders(inp)
+        assert len(points) > 0
+
+        noise = rng.normal(size=(6, 6))
+        a = res.A * (1.0 + 1e-15 * (noise + noise.T))
+        perturbed = ResistanceSet.from_blocks(a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:])
+        states_p, points_p = self._orders(
+            FreefallInput(resistance=perturbed, m_e=inp.m_e, m_c=inp.m_c, r=inp.r)
+        )
+        assert np.allclose(states_p, states, atol=1e-8)
+        assert np.allclose(points_p, points, atol=1e-8)
+
+        eig = np.linalg.eig
+
+        def negated_eig(m):
+            vals, vecs = eig(m)
+            return vals, -vecs
+
+        monkeypatch.setattr(np.linalg, "eig", negated_eig)
+        states_n, points_n = self._orders(inp)
+        assert np.allclose(states_n, states, atol=1e-8)
+        assert np.allclose(points_n, points, atol=1e-8)
+
+
 class TestKinematics:
     def test_motion_operator_is_the_balance_inverse(self, suite_solutions, rng):
         dbody, res = suite_solutions[("tripod", 8)]

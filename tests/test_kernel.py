@@ -186,6 +186,14 @@ class TestBranchesAndFactors:
         assert ident_c[0] == pytest.approx(dr[0] * s[0], rel=1e-12)
         assert dyad_c[0] == pytest.approx(yr[0] * s[0], rel=1e-12)
 
+    def test_branch_agreement_at_cutoff(self):
+        # the bounds the HyperKernel docstring states for s within 2e-12 of the cutoff
+        s = HyperKernel.series_threshold + np.linspace(-2e-12, 2e-12, 4001)
+        ident_c, dyad_c = _factors_closed(s)
+        dr, yr = _factors_over_s_series(s, HyperKernel.series_terms)
+        assert np.abs(ident_c / s - dr).max() <= 2e-13 * np.abs(dr).min()
+        assert np.abs(dyad_c / s - yr).max() <= 2e-11 * np.abs(yr).min()
+
     def test_green_branch_continuity(self):
         # the two branches of green_scalar, (1 - e^{-s})/s closed and by series
         _, _, coeffs = _series_coeffs(HyperKernel.series_terms)

@@ -1,12 +1,14 @@
 """Boundary-integral solver: reciprocity, definiteness, equivariance, convergence."""
 
 import dataclasses
+import sys
 import tracemalloc
 import warnings
 from math import pi
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, get_lapack_funcs
 from scipy.stats import ortho_group
 
 from hyperstokes import (
@@ -97,6 +99,100 @@ class TestAssemble:
             tracemalloc.stop()
         assert peak <= 2 * matrix_bytes, peak / matrix_bytes
 
+    def test_non_finite_entry_rejected(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        factors = mob._factors_over_s
+
+        def nan_in_one_pair(s, kern):
+            a, b = factors(s, kern)
+            a.flat[-1] = np.nan
+            return a, b
+
+        monkeypatch.setattr(mob, "_factors_over_s", nan_in_one_pair)
+        with pytest.raises(AssemblyError, match="non-finite"):
+            assemble(discretize(tripod_tetrahedron(1.0), 8), kernel)
+
+    def test_matrix_larger_than_memory_rejected(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 32)
+        need = 8 * (3 * dbody.n_nodes) ** 2
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(AssemblyError, match="physical memory"):
+            assemble(dbody, kernel)
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need)
+        assert assemble(dbody, kernel).positive_definite
+
+    @pytest.mark.parametrize("name, resolution, blocks", [
+        ("tripod", 8, 1),
+        ("helix", 128, 6),  # several column blocks: the fill runs on the pool
+    ])
+    def test_factor_is_cholesky_of_full_matrix(self, bodies, kernel, name, resolution, blocks):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(bodies[name], resolution)
+        assert len(mob._column_blocks(dbody.n_nodes)) == blocks
+        km = assemble(dbody, kernel)
+        ref, _ = cho_factor(symmetrized_matrix(dbody, kernel), lower=True)
+        assert np.array_equal(np.tril(km._factor[0]), np.tril(ref))
+
+    @pytest.mark.parametrize("name", ["rod", "bent_rod", "tripod", "octahedron", "helix"])
+    def test_condition_uses_norm_of_full_matrix(self, bodies, kernel, name):
+        dbody = discretize(bodies[name], 128)
+        km = assemble(dbody, kernel)
+        full = symmetrized_matrix(dbody, kernel)
+        lange, pocon = get_lapack_funcs(("lange", "pocon"), (full,))
+        rcond, _ = pocon(km._factor[0], lange("1", full), uplo="L")
+        assert km.condition == pytest.approx(1.0 / rcond, rel=1e-12)
+
+    def test_unwritten_upper_triangle_is_never_read(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 128)
+        ref = resistance(dbody, kernel)
+        # an uninitialized allocation may hold any bits, NaN included
+        monkeypatch.setattr(
+            mob, "_empty_matrix", lambda n: np.full((3 * n, 3 * n), np.nan, order="F")
+        )
+        res = resistance(dbody, kernel)
+        assert np.array_equal(res.A, ref.A)
+        assert res.condition == pytest.approx(ref.condition, rel=1e-12)
+
+    def test_fill_independent_of_worker_count_and_timing(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 128)
+        m = 3 * dbody.n_nodes
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 8):  # 8 exceeds the 6 column blocks and most core counts
+                monkeypatch.setattr(mob, "_usable_cpus", lambda: workers)
+                mt = np.zeros((m, m), order="F")
+                results.append((mob._fill_lower(mt, dbody, kernel), np.tril(mt)))
+        finally:
+            sys.setswitchinterval(interval)
+        (norm1, low1), (norm8, low8) = results
+        assert norm1 == norm8
+        assert np.array_equal(low1, low8)
+
+    def test_fill_evaluates_lower_block_triangle(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        factors = mob._factors_over_s
+        sizes = []
+
+        def counting(s, kern):
+            sizes.append(s.size)  # list.append is atomic under the GIL
+            return factors(s, kern)
+
+        monkeypatch.setattr(mob, "_factors_over_s", counting)
+        dbody = discretize(helix(0.2, 0.1, 3), 256)
+        assemble(dbody, kernel)
+        assert sum(sizes) <= 0.65 * dbody.n_nodes**2
+
     def test_coincident_nodes_rejected(self, kernel):
         seg = Segment(points=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         body = BodyGeometry(name="dup", segments=(seg, seg))
@@ -132,6 +228,11 @@ class TestSolveRigid:
         combo = solve_rigid(km, a * xi1 + b * xi2, a * om1 + b * om2)
         parts = a * solve_rigid(km, xi1, om1) + b * solve_rigid(km, xi2, om2)
         assert np.allclose(combo, parts, rtol=1e-12, atol=1e-12 * np.abs(combo).max())
+
+    def test_non_finite_data_rejected(self, kernel):
+        km = assemble(discretize(rod(1.0), 8), kernel)
+        with pytest.raises(InvalidArgument):
+            solve_rigid(km, np.array([np.nan, 0.0, 0.0]), np.zeros(3))
 
     def test_force_torque_validation(self, kernel):
         dbody = discretize(rod(1.0), 8)
