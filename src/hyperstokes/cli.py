@@ -26,7 +26,7 @@ from .kernel import (
     stokeslet_pressure,
     stokeslet_velocity,
 )
-from .serialize import csv_text, json_text, load_body
+from .serialize import Rounded, csv_text, json_text, load_body
 
 DEFAULT_ELL = 0.1
 DEFAULT_RESOLUTION = 16.0
@@ -59,10 +59,13 @@ class RunConfig:
             raise InvalidArgument(f"ell must be positive, got {self.ell}")
         if not (np.isfinite(self.resolution) and self.resolution > 0):
             raise InvalidArgument(f"resolution must be positive, got {self.resolution}")
-        if self.tol_trans is not None and self.tol_trans <= 0:
+        # written as "not > 0" so that NaN is rejected too; inf stays allowed
+        if self.tol_trans is not None and not self.tol_trans > 0:
             raise InvalidArgument("tol-trans must be positive")
-        if self.tol_symmetry <= 0:
+        if not self.tol_symmetry > 0:
             raise InvalidArgument("symmetry tolerance must be positive")
+        if not self.condition_ceiling > 0:
+            raise InvalidArgument(f"max-condition must be positive, got {self.condition_ceiling}")
 
 
 @dataclass
@@ -129,10 +132,15 @@ def _emit_result(config: RunConfig, body, mass, result) -> None:
     )
 
 
+def _printed_condition(res: mobility.ResistanceSet) -> Rounded:
+    """The condition estimate to 3 significant digits; its last digits vary between runs."""
+    return Rounded(f"{res.condition:.3g}")
+
+
 def _resistance_dict(res: mobility.ResistanceSet) -> dict:
     return {
         "n_nodes": res.n_nodes,
-        "condition": res.condition,
+        "condition": _printed_condition(res),
         "asymmetry": res.asymmetry,
         "min_eigenvalue": res.min_eigenvalue,
         "spin_nullity": res.spin_nullity,
@@ -240,7 +248,7 @@ def resistance(file, ell, resolution, max_condition, force, fmt):
             for i in range(3):
                 for j in range(3):
                     rows.append([name, i + 1, j + 1, mat[i, j]])
-        rows.append(["condition", "", "", res.condition])
+        rows.append(["condition", "", "", _printed_condition(res)])
         rows.append(["asymmetry", "", "", res.asymmetry])
         rows.append(["min_eigenvalue", "", "", res.min_eigenvalue])
         rows.append(["n_nodes", "", "", res.n_nodes])
@@ -259,6 +267,7 @@ def freefall_cmd(file, ell, resolution, max_condition, force, tol_trans, axis):
     """Steady free-fall states (lambda, g, xi, omega) of a body."""
     cfg = RunConfig(ell=ell, resolution=resolution, tol_trans=tol_trans,
                     condition_ceiling=max_condition, force=force)
+    freefall.check_axis(axis)
     b = load_body(file)
     dbody, res = _solve(b, cfg)
     inp = freefall.FreefallInput.from_body(dbody, res)
@@ -307,9 +316,9 @@ def symmetry_cmd(file, ell, resolution, max_condition, force, transform,
     """Symmetry checks: invariance, transformation law, tensor patterns."""
     cfg = RunConfig(ell=ell, resolution=resolution, tol_symmetry=tol,
                     condition_ceiling=max_condition, force=force)
+    q = geometry.ensure_orthogonal(np.reshape(transform, (3, 3))) if transform else None
     b = load_body(file)
     dbody, res = _solve(b, cfg)
-    q = np.asarray(transform, dtype=float).reshape(3, 3) if transform else None
     report = symmetry.symmetry_report(
         dbody, res, Q=q, plane_axis=plane_axis, heli_axis=heli_axis, tol=tol
     )
@@ -350,6 +359,7 @@ def fixed_points(file, ell, resolution, max_condition, force, grid):
     """Orientations with G x omega(G) = 0 (steady-fall cross-check)."""
     cfg = RunConfig(ell=ell, resolution=resolution,
                     condition_ceiling=max_condition, force=force)
+    dynamics.check_grid_resolution(grid)
     b = load_body(file)
     dbody, res = _solve(b, cfg)
     inp = freefall.FreefallInput.from_body(dbody, res)
@@ -377,14 +387,15 @@ def convergence(file, ell, resolutions, max_condition, force):
         raise InvalidArgument(f"cannot parse --resolutions {resolutions!r}") from None
     if not res_list:
         raise InvalidArgument("--resolutions must list at least one value")
+    configs = [RunConfig(ell=ell, resolution=r, condition_ceiling=max_condition, force=force)
+               for r in res_list]
     b = load_body(file)
     rows = []
     prev_k = None
-    for r in res_list:
-        cfg = RunConfig(ell=ell, resolution=r, condition_ceiling=max_condition, force=force)
+    for cfg in configs:
         _, res = _solve(b, cfg)
         diff = None if prev_k is None else float(np.linalg.norm(res.K - prev_k))
-        rows.append([r, res.n_nodes, *res.K.ravel().tolist(), diff])
+        rows.append([cfg.resolution, res.n_nodes, *res.K.ravel().tolist(), diff])
         prev_k = res.K
     header = ["resolution", "n_nodes",
               "K11", "K12", "K13", "K21", "K22", "K23", "K31", "K32", "K33",

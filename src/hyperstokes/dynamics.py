@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument
 from .freefall import FreefallInput, require_regular, skew
@@ -35,6 +33,7 @@ __all__ = [
     "motion_operator",
     "instantaneous_motion",
     "check_time_grid",
+    "check_grid_resolution",
     "integrate_orientation",
     "find_fixed_points",
     "fibonacci_sphere",
@@ -138,39 +137,40 @@ class FixedPointResult:
     threshold: float
 
 
-def _polish(g0: np.ndarray, l_omega: np.ndarray) -> np.ndarray:
-    """Refine a fixed-point candidate on the sphere via a local 2D chart."""
-    # orthonormal tangent basis at g0
-    pivot = np.zeros(3)
-    pivot[int(np.argmin(np.abs(g0)))] = 1.0
-    t1 = np.cross(g0, pivot)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(g0, t1)
+_POLISH_STEPS = 6  # quadratic convergence reaches roundoff in about 4 steps
 
-    def chart(ab):
-        v = g0 + ab[0] * t1 + ab[1] * t2
-        return v / np.linalg.norm(v)
 
-    def residual(ab):
-        v = chart(ab)
-        return np.cross(v, l_omega @ v)
+def _polish(g: np.ndarray, l_omega: np.ndarray) -> np.ndarray:
+    """Refine a fixed-point candidate by projected Gauss-Newton steps on the sphere.
 
-    sol = least_squares(residual, np.zeros(2), method="lm", xtol=1e-15, ftol=1e-15)
-    return chart(sol.x)
+    The minimum-norm least-squares step for the Jacobian of g x L g on the
+    tangent plane stays in that plane, so renormalizing is the only retraction.
+    """
+    for _ in range(_POLISH_STEPS):
+        jac = (skew(g) @ l_omega - skew(l_omega @ g)) @ (np.eye(3) - np.outer(g, g))
+        step = np.linalg.lstsq(jac, np.cross(g, l_omega @ g), rcond=None)[0]
+        g = g - step
+        g = g / np.linalg.norm(g)
+    return g
+
+
+def check_grid_resolution(grid_resolution: int) -> None:
+    """Raise InvalidArgument unless the sphere lattice has at least 12 points."""
+    if grid_resolution < 12:
+        raise InvalidArgument("grid_resolution must be at least 12")
 
 
 def find_fixed_points(inp: FreefallInput, grid_resolution: int = 2000) -> FixedPointResult:
     """Locate all orientations with G x omega(G) = 0 by grid search + polishing.
 
     Candidates are local minima of |G x omega| on a Fibonacci lattice,
-    refined by least squares on the sphere and accepted below
+    refined by projected Gauss-Newton steps and accepted below
     1e-8 * (m_e + m_c |r|).  If the residual is below threshold everywhere
     on the grid, the degenerate all-orientations case is reported (with the
     coordinate axes as representatives).  Points are sorted by their
     coordinates rounded to 8 digits, so roundoff does not reorder them.
     """
-    if grid_resolution < 12:
-        raise InvalidArgument("grid_resolution must be at least 12")
+    check_grid_resolution(grid_resolution)
     _, l_omega = motion_operator(inp)
     scale = inp.m_e + inp.m_c * float(np.linalg.norm(inp.r))
     threshold = 1e-8 * scale
@@ -179,11 +179,10 @@ def find_fixed_points(inp: FreefallInput, grid_resolution: int = 2000) -> FixedP
 
     if residuals.max() <= threshold:
         axes = [np.eye(3)[i] * s for i in range(3) for s in (1.0, -1.0)]
-        pts = [
-            (g, float(np.linalg.norm(np.cross(g, l_omega @ g)))) for g in axes
-        ]
+        pts = [(g, float(np.linalg.norm(np.cross(g, l_omega @ g)))) for g in axes]
         return FixedPointResult(points=pts, all_orientations=True, threshold=threshold)
 
+    from scipy.spatial import cKDTree  # imported here: most commands never search
     # local minima on the lattice
     _, neighbors = cKDTree(grid).query(grid, k=7)
     is_min = np.all(residuals[:, None] <= residuals[neighbors[:, 1:]], axis=1)

@@ -32,6 +32,7 @@ __all__ = [
     "steady_states",
     "verify",
     "tilt_angle",
+    "check_axis",
     "skew",
     "require_regular",
 ]
@@ -217,11 +218,16 @@ def steady_states(inp: FreefallInput, tol_trans: float | None = None) -> list[St
     return states
 
 
+def check_axis(body_axis) -> np.ndarray:
+    """Validate a body axis (a nonzero finite 3-vector) and return it as a float array."""
+    axis = np.asarray(body_axis, dtype=float)
+    if axis.shape != (3,) or not np.all(np.isfinite(axis)) or np.linalg.norm(axis) < 1e-300:
+        raise InvalidArgument("body axis must be a nonzero finite 3-vector")
+    return axis
+
+
 def tilt_angle(state: SteadyState, body_axis) -> float:
     """Angle in degrees, within [0, 90], between gravity and a body axis."""
-    axis = np.asarray(body_axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if not np.all(np.isfinite(axis)) or norm < 1e-300:
-        raise InvalidArgument("body axis must be a nonzero finite 3-vector")
-    cosine = abs(float(state.g @ axis) / norm)
+    axis = check_axis(body_axis)
+    cosine = abs(float(state.g @ axis) / np.linalg.norm(axis))
     return degrees(acos(min(cosine, 1.0)))

@@ -7,7 +7,8 @@ Body files are plain JSON:
                    "density": number > 0 | [number > 0, ...]}]}
 
 All floating-point output is written with 17 significant digits, which
-round-trips IEEE doubles exactly; serialization order is the construction
+round-trips IEEE doubles exactly, except a ``Rounded`` value, which is
+written in its shortest form; serialization order is the construction
 order of the dictionaries, so identical inputs yield identical bytes.
 """
 
@@ -22,6 +23,7 @@ from .errors import BodyConfigError
 from .geometry import BodyGeometry, Segment
 
 __all__ = [
+    "Rounded",
     "format_float",
     "json_text",
     "body_to_dict",
@@ -31,13 +33,23 @@ __all__ = [
 ]
 
 
+class Rounded(float):
+    """A float already rounded to a few digits, written in its shortest
+    round-trip form (53.1 rather than 53.100000000000001)."""
+
+
+def _digits(x) -> str:
+    return repr(float(x)) if isinstance(x, Rounded) else format(float(x), ".17g")
+
+
 def format_float(x: float) -> str:
-    """17-significant-digit decimal form of a double (exact round trip)."""
+    """Decimal form of a double that round-trips exactly: 17 significant
+    digits, or the shortest form for a ``Rounded`` value."""
     if math.isnan(x):
         return '"nan"'
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+    return _digits(x)
 
 
 def _emit(obj, parts: list[str]) -> None:
@@ -64,7 +76,7 @@ def _emit(obj, parts: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj)))
+        parts.append(format_float(obj))
     elif obj is None:
         parts.append("null")
     elif isinstance(obj, str):
@@ -138,7 +150,7 @@ def csv_text(header: list[str], rows: list[list]) -> str:
         cells = []
         for cell in row:
             if isinstance(cell, (float, np.floating)):
-                cells.append(format(float(cell), ".17g"))
+                cells.append(_digits(cell))
             elif cell is None:
                 cells.append("")
             else:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgument, NoTranslationalOrientation
 from .geometry import DiscretizedBody, ensure_orthogonal
@@ -60,6 +59,7 @@ def check_geometric_invariance(dbody: DiscretizedBody, Q) -> float:
     weight mismatches scaled by the body diameter.  Invariance holds when
     the error is below 1e-9 times the diameter.
     """
+    from scipy.spatial import cKDTree  # imported here: most commands never match nodes
     Q = ensure_orthogonal(Q)
     x = dbody.nodes
     mapped = x @ Q.T
@@ -209,7 +209,6 @@ def symmetry_report(
         g, nullity = translational_orientation_plane(res, tol)
         report.translational_g = g
         report.coupling_nullity = nullity
-    except NoTranslationalOrientation:
-        report.translational_g = None
+    except NoTranslationalOrientation:  # translational_g stays None
         report.coupling_nullity = 0
     return report

@@ -1,7 +1,11 @@
 """Command surface: outputs, exit codes, round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,16 @@ from click.testing import CliRunner
 from hyperstokes import HyperstokesError, bent_rod, octahedron_frame, rod
 from hyperstokes.cli import PhysicalParams, main, nondim
 from hyperstokes.serialize import body_from_dict, body_to_dict, json_text, load_body
+
+
+def test_cli_import_leaves_out_optimize_and_spatial():
+    # a fresh interpreter: the other tests may already have imported both
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, hyperstokes.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture()
@@ -152,6 +166,14 @@ class TestResistanceCommand:
         assert len(lines) == 1 + 36 + 4  # 4 tensors x 9 entries + diagnostics
         assert lines[1].startswith("K,1,1,")
 
+    def test_condition_printed_to_three_digits(self, runner, octa_file):
+        args = ["resistance", octa_file, "--resolution", "8"]
+        cond = json.loads(runner.invoke(main, args).stdout)["result"]["condition"]
+        assert cond > 1.0
+        assert cond == float(f"{cond:.3g}")
+        csv_lines = runner.invoke(main, [*args, "--format", "csv"]).stdout.splitlines()
+        assert f"condition,,,{cond!r}" in csv_lines
+
     def test_condition_ceiling_refuses_and_force_overrides(self, runner, rod_file):
         refused = runner.invoke(
             main, ["resistance", rod_file, "--resolution", "8", "--max-condition", "1"]
@@ -246,18 +268,6 @@ class TestTrajectoryCommands:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("args", [
-        ["--g0", "0", "0", "0", "--dt", "0.01"],
-        ["--g0", "0", "0", "1", "--dt", "0"],
-    ])
-    def test_fall_sim_checks_arguments_before_solving(self, runner, bent_file, args):
-        # a ceiling of 1 refuses every solve, so only a check made first reports
-        result = runner.invoke(
-            main, ["fall-sim", bent_file, "--max-condition", "1", *args, "--t-end", "0.1"]
-        )
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error[invalid-argument]")
-
     def test_fixed_points_octahedron(self, runner, octa_file):
         result = runner.invoke(
             main, ["fixed-points", octa_file, "--resolution", "8", "--grid", "200"]
@@ -325,6 +335,40 @@ class TestSymmetryCommand:
 
 
 class TestErrorSlugs:
+    @pytest.mark.parametrize("command, args", [
+        pytest.param("fall-sim", ["--g0", "0", "0", "0", "--dt", "0.01", "--t-end", "0.1"],
+                     id="fall-sim-g0"),
+        pytest.param("fall-sim", ["--g0", "0", "0", "1", "--dt", "0", "--t-end", "0.1"],
+                     id="fall-sim-dt"),
+        pytest.param("fixed-points", ["--grid", "5"], id="fixed-points-grid"),
+        pytest.param("symmetry", ["--transform", *"123456789"], id="symmetry-transform"),
+        pytest.param("symmetry", ["--tol", "nan"], id="symmetry-tol"),
+        pytest.param("freefall", ["--axis", "0", "0", "0"], id="freefall-axis"),
+        pytest.param("freefall", ["--tol-trans", "nan"], id="freefall-tol-trans"),
+        pytest.param("convergence", ["--resolutions", "8,-1"], id="convergence-resolutions"),
+        pytest.param("resistance", ["--max-condition", "nan"], id="max-condition-nan"),
+    ])
+    def test_arguments_checked_before_solving(self, runner, bent_file, command, args):
+        # a ceiling of 1 refuses every solve, so only a check made first reports
+        ceiling = [] if "--max-condition" in args else ["--max-condition", "1"]
+        extra = [] if command == "convergence" else ["--resolution", "8"]
+        result = runner.invoke(main, [command, bent_file, *ceiling, *extra, *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[invalid-argument]")
+
+    @pytest.mark.parametrize("ceiling", ["0", "-1"])
+    def test_non_positive_ceiling_rejected(self, runner, bent_file, ceiling):
+        result = runner.invoke(main, ["resistance", bent_file, "--max-condition", ceiling])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[invalid-argument]")
+
+    def test_infinite_ceiling_and_tolerances_allowed(self, runner, bent_file):
+        result = runner.invoke(
+            main, ["freefall", bent_file, "--resolution", "8", "--max-condition", "inf",
+                   "--tol-trans", "inf"],
+        )
+        assert result.exit_code == 0
+
     def test_slugs_distinct_and_non_empty(self):
         classes = [HyperstokesError, *HyperstokesError.__subclasses__()]
         slugs = [cls.slug for cls in classes]
