@@ -1,0 +1,160 @@
+"""Cholesky factorization, solve and condition estimate: LAPACK potrf, potrs, pocon.
+
+The three routines are bound with ctypes to the OpenBLAS that numpy itself
+loaded (the ``numpy.libs/libscipy_openblas64_*`` library of numpy 2 wheels,
+whose LAPACKE entry points take 64-bit integers), so the solver runs without
+importing scipy.  The ``_work`` entry points are used: the plain LAPACKE ones
+scan the matrix for NaN on every call.  Where numpy's library or one of the
+symbols is missing (other wheel layouts, MKL, a system BLAS), the same
+routines come from ``scipy.linalg.lapack``, imported only then.  The two
+sources differ only in :func:`_load`.
+
+Matrices are Fortran-order float64 and only their lower triangle is read or
+written.
+"""
+
+from __future__ import annotations
+
+import ctypes
+
+import numpy as np
+
+__all__ = ["cho_factor", "cho_solve", "pocon", "SOURCE"]
+
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
+_LOWER = b"L"
+_ALIGN = 64  # bytes; pocon's work arrays always start on this boundary
+
+
+def _aligned_empty(n: int, dtype) -> np.ndarray:
+    """Uninitialized 1-D array of ``n`` items whose data starts on a 64-byte boundary.
+
+    OpenBLAS's vector kernels take a different summation order depending on
+    where their operands start, so work arrays placed wherever the heap
+    happens to put them would make the estimate vary in its last digits.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.empty(n + _ALIGN // itemsize, dtype=dtype)
+    skip = (-raw.ctypes.data % _ALIGN) // itemsize
+    return raw[skip:skip + n]
+
+
+def _from_numpy_openblas():
+    """(potrf, potrs, pocon) bound to numpy's OpenBLAS; raises when it is not there."""
+    from numpy._core import _multiarray_umath
+
+    # a library handle also resolves the symbols of its dependencies,
+    # OpenBLAS among them
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    head = [ctypes.c_int, ctypes.c_char, i64]  # layout, uplo, n
+    potrf_c = lib.scipy_LAPACKE_dpotrf_work64_
+    potrf_c.argtypes = [*head, ptr, i64]
+    potrs_c = lib.scipy_LAPACKE_dpotrs_work64_
+    potrs_c.argtypes = [*head, i64, ptr, i64, ptr, i64]
+    pocon_c = lib.scipy_LAPACKE_dpocon_work64_
+    pocon_c.argtypes = [*head, ptr, i64, ctypes.c_double,
+                        ctypes.POINTER(ctypes.c_double), ptr, ptr]
+    for fn in (potrf_c, potrs_c, pocon_c):
+        fn.restype = i64
+
+    def potrf(a):
+        n = a.shape[0]
+        return potrf_c(_COL_MAJOR, _LOWER, n, a.ctypes.data, max(n, 1))
+
+    def potrs(c, b):
+        n = c.shape[0]
+        nrhs = 1 if b.ndim == 1 else b.shape[1]
+        return potrs_c(_COL_MAJOR, _LOWER, n, nrhs, c.ctypes.data, max(n, 1),
+                       b.ctypes.data, max(n, 1))
+
+    def pocon(c, anorm):
+        n = c.shape[0]
+        rcond = ctypes.c_double()
+        work = _aligned_empty(3 * n, np.float64)
+        iwork = _aligned_empty(n, np.int64)
+        info = pocon_c(_COL_MAJOR, _LOWER, n, c.ctypes.data, max(n, 1), anorm,
+                       ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data)
+        return rcond.value, info
+
+    return potrf, potrs, pocon
+
+
+def _from_scipy():
+    """(potrf, potrs, pocon) from ``scipy.linalg.lapack``, with the same conventions."""
+    from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+
+    def potrf(a):
+        c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+        if c is not a:  # f2py copied instead of factoring in place
+            a[...] = c
+        return info
+
+    def potrs(c, b):
+        x, info = dpotrs(c, b, lower=1, overwrite_b=1)
+        if x is not b:
+            b[...] = x
+        return info
+
+    def pocon(c, anorm):
+        rcond, info = dpocon(c, anorm, uplo="L")
+        return float(rcond), info
+
+    return potrf, potrs, pocon
+
+
+def _load():
+    """The routines and where they come from: numpy's OpenBLAS, else scipy."""
+    try:
+        return (*_from_numpy_openblas(), "numpy-openblas")
+    except (ImportError, OSError, AttributeError):  # no such module, library or symbol
+        return (*_from_scipy(), "scipy")
+
+
+_potrf, _potrs, _pocon, SOURCE = _load()
+
+
+def _check_factor(c: np.ndarray) -> None:
+    if not (c.ndim == 2 and c.shape[0] == c.shape[1] and c.dtype == np.float64
+            and c.flags.f_contiguous and c.flags.writeable):
+        raise ValueError("expected a writeable Fortran-order square float64 matrix")
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of ``a`` with its Cholesky factor L; return ``a``.
+
+    The strict upper triangle is neither read nor written.  Raises
+    ``numpy.linalg.LinAlgError`` when ``a`` is not positive definite (its
+    lower triangle is then partly overwritten).
+    """
+    _check_factor(a)
+    info = _potrf(a)
+    _check_info(info, "potrf")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"matrix is not positive definite (leading minor of order {info})"
+        )
+    return a
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, for the factor L of :func:`cho_factor` and b of shape (n,) or (n, k)."""
+    _check_factor(c)
+    x = np.array(b, dtype=np.float64, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
+        raise ValueError(f"right-hand side of shape {np.shape(b)} for a matrix of order {len(c)}")
+    _check_info(_potrs(c, x), "potrs")
+    return x
+
+
+def pocon(c: np.ndarray, anorm: float) -> float:
+    """LAPACK's estimate of 1 / cond_1(L L^T), given L and the 1-norm of L L^T."""
+    _check_factor(c)
+    rcond, info = _pocon(c, float(anorm))
+    _check_info(info, "pocon")
+    return rcond

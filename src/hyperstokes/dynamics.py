@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .freefall import FreefallInput, require_regular, skew
+from .geometry import nearest_neighbors
 
 __all__ = [
     "OrientationTrajectory",
@@ -182,9 +183,8 @@ def find_fixed_points(inp: FreefallInput, grid_resolution: int = 2000) -> FixedP
         pts = [(g, float(np.linalg.norm(np.cross(g, l_omega @ g)))) for g in axes]
         return FixedPointResult(points=pts, all_orientations=True, threshold=threshold)
 
-    from scipy.spatial import cKDTree  # imported here: most commands never search
-    # local minima on the lattice
-    _, neighbors = cKDTree(grid).query(grid, k=7)
+    # local minima on the lattice; each point is its own nearest neighbor
+    _, neighbors = nearest_neighbors(grid, grid, k=7)
     is_min = np.all(residuals[:, None] <= residuals[neighbors[:, 1:]], axis=1)
     found: list[tuple[np.ndarray, float]] = []
     for idx in np.flatnonzero(is_min):

@@ -30,6 +30,7 @@ __all__ = [
     "transform",
     "discretize",
     "ensure_orthogonal",
+    "nearest_neighbors",
     "rod",
     "bent_rod",
     "tripod_tetrahedron",
@@ -39,6 +40,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 _DIAMETER_CHUNK_PAIRS = 250_000
+_NEIGHBOR_CHUNK_PAIRS = 250_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +171,64 @@ def _cloud_diameter(points: np.ndarray) -> float:
         for lo in range(0, n, chunk)
     )
     return float(np.sqrt(d2))
+
+
+def nearest_neighbors(points, queries, k: int = 1):
+    """Exact k nearest ``points`` of each query: (distances, indices), each (m, k).
+
+    Rows are in ascending distance.  The points are sorted along their
+    widest coordinate, and each query first looks only at a window of 2h
+    points around its own place in that order.  Every point outside the
+    window is at least as far along the coordinate as the window's edges,
+    so the window's k nearest are the true ones when the k-th distance is
+    below that gap; the remaining queries try again with h doubled.  Work
+    proceeds in row chunks of at most about 250k query-point pairs, so the
+    memory does not grow with the number of points.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    n = len(points)
+    if not 1 <= k <= n:
+        raise InvalidArgument(f"cannot find {k} neighbors among {n} points")
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    order = np.argsort(points[:, axis], kind="stable")
+    coords = points[order].T.copy()  # one contiguous row per coordinate
+    zs = coords[axis]
+    zq = queries[:, axis]
+    place = np.searchsorted(zs, zq)
+    d2_out = np.empty((len(queries), k))
+    idx_out = np.empty((len(queries), k), dtype=np.intp)
+    todo = np.arange(len(queries))
+    half = 2 * k
+    while todo.size:
+        width = min(2 * half, n)
+        rows = max(1, _NEIGHBOR_CHUNK_PAIRS // width)
+        retry = []
+        for lo in range(0, todo.size, rows):
+            q = todo[lo:lo + rows]
+            start = np.clip(place[q] - half, 0, n - width)
+            window = start[:, None] + np.arange(width)
+            d2 = np.zeros(window.shape)
+            for c, qc in zip(coords, queries[q].T):
+                diff = c[window] - qc[:, None]
+                d2 += diff * diff
+            near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            near_d2 = np.take_along_axis(d2, near, axis=1)
+            by_distance = np.argsort(near_d2, axis=1, kind="stable")
+            near = np.take_along_axis(near, by_distance, axis=1)
+            near_d2 = np.take_along_axis(near_d2, by_distance, axis=1)
+            end = start + width
+            gap = np.minimum(
+                np.where(start > 0, zq[q] - zs[np.maximum(start - 1, 0)], np.inf),
+                np.where(end < n, zs[np.minimum(end, n - 1)] - zq[q], np.inf),
+            )
+            done = (near_d2[:, -1] < gap * gap) | (width == n)
+            d2_out[q[done]] = near_d2[done]
+            idx_out[q[done]] = start[done, None] + near[done]
+            retry.append(q[~done])
+        todo = np.concatenate(retry)
+        half *= 2
+    return np.sqrt(d2_out), order[idx_out]
 
 
 def total_length(body: BodyGeometry) -> float:

@@ -30,12 +30,13 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
+from ._lapack import cho_factor, cho_solve, pocon
 from .errors import AssemblyError, InvalidArgument, SingularSystemError
 from .geometry import DiscretizedBody
 from .kernel import HyperKernel, _factors_over_s, oseen_tensor
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 _ASSEMBLY_CHUNK_PAIRS = 50_000  # node pairs per fill step; its ~3.6 MB of output stays in cache
+_MEMINFO = "/proc/meminfo"
 
 
 @dataclass(eq=False)
@@ -62,7 +64,8 @@ class KernelMatrix:
     Only the factor of the symmetrized system W^{1/2} M W^{1/2} is kept
     (:func:`symmetrized_matrix` returns the system itself); ``condition`` is
     a LAPACK 1-norm estimate for it.  ``positive_definite`` records whether
-    the Cholesky factorization succeeded.
+    the Cholesky factorization succeeded; ``_factor`` is then ``(L,)``, and
+    ``(ldu, ipiv, sytrs)`` of the symmetric-indefinite fallback otherwise.
     """
 
     body: DiscretizedBody
@@ -81,8 +84,8 @@ class KernelMatrix:
             raise InvalidArgument("non-finite boundary data")
         sw = self._sqrt_w if u.ndim == 1 else self._sqrt_w[:, None]
         if self.positive_definite:
-            # the factor's upper triangle was never written, so it is not checked
-            y = cho_solve(self._factor, sw * u, check_finite=False)
+            # potrs reads only the lower triangle; the upper one was never written
+            y = cho_solve(self._factor[0], sw * u)
         else:
             ldu, ipiv, sytrs = self._factor
             y, info = sytrs(ldu, ipiv, sw * u, lower=1)
@@ -102,6 +105,18 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _available_memory_bytes() -> int | None:
+    """``MemAvailable`` of /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open(_MEMINFO) as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the file counts kB
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _column_blocks(n: int) -> list[tuple[int, int]]:
     """Node ranges [lo, hi) of the fill steps, one column block each."""
     chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(n, 1))
@@ -109,15 +124,22 @@ def _column_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def _empty_matrix(n: int) -> np.ndarray:
-    """Uninitialized Fortran-order (3N, 3N) array; refused if it exceeds physical memory."""
+    """Uninitialized Fortran-order (3N, 3N) array.
+
+    Refused if it exceeds physical memory or the memory available now (when
+    the system reports it), so that a matrix the operating system would
+    kill the process for ends in a clean AssemblyError instead.
+    """
     need = 8 * (3 * n) ** 2
-    have = _physical_memory_bytes()
-    if need > have:
-        raise AssemblyError(
-            f"the {3 * n} x {3 * n} kernel matrix of {n} nodes needs "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
-            "physical memory; lower the resolution"
-        )
+    limits = [("physical memory", _physical_memory_bytes()),
+              ("memory available now", _available_memory_bytes())]
+    for what, have in limits:
+        if have is not None and need > have:
+            raise AssemblyError(
+                f"the {3 * n} x {3 * n} kernel matrix of {n} nodes needs "
+                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
+                f"{what}; lower the resolution"
+            )
     return np.empty((3 * n, 3 * n), order="F")
 
 
@@ -132,7 +154,8 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel) -> 
     (times sqrt(w_k w_l) / (8 pi ell)).
 
     The column blocks run on a thread pool (numpy releases the GIL in the
-    ufuncs) and write disjoint columns.  Each returns its minimum node
+    ufuncs) and write disjoint columns; with one block or one usable CPU the
+    calling thread fills them itself.  Each returns its minimum node
     spacing, its largest distance and the absolute sums of its columns and
     of its rows below the diagonal block; the calling thread combines them
     in block order, so the result does not depend on thread timing.  By
@@ -178,8 +201,10 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel) -> 
     spacing = np.inf
     diam = 0.0
     col_sums = np.zeros(3 * n)
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(bounds))) as pool:
-        for (lo, hi), (sp, dm, own_cols, rows_below) in zip(bounds, pool.map(fill, bounds)):
+    workers = min(_usable_cpus(), len(bounds))
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        filled = pool.map(fill, bounds) if pool is not None else map(fill, bounds)
+        for (lo, hi), (sp, dm, own_cols, rows_below) in zip(bounds, filled):
             spacing = min(spacing, sp)
             diam = max(diam, dm)
             col_sums[3 * lo:3 * hi] += own_cols
@@ -202,7 +227,7 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
     matrix equals its transpose bit for bit.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
-    a matrix larger than physical memory.
+    a matrix larger than physical or available memory.
     """
     n = dbody.n_nodes
     mt = _empty_matrix(n)
@@ -217,24 +242,26 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
 
     Only the lower triangle is computed, checked and factored; the 1-norm
     for the condition estimate and the finiteness check come from the fill.
-    The 8 (3N)^2 bytes of the matrix are checked against physical memory
-    before anything is allocated.
+    The 8 (3N)^2 bytes of the matrix are checked against physical and
+    available memory before anything is allocated.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
-    a matrix larger than physical memory, and SingularSystemError if both
-    the Cholesky and the symmetric-indefinite factorization fail.
+    a matrix larger than physical or available memory, and
+    SingularSystemError if both the Cholesky and the symmetric-indefinite
+    factorization fail.
     """
     mt = _empty_matrix(dbody.n_nodes)
     anorm = _fill_lower(mt, dbody, kernel)
     try:
-        factor = cho_factor(mt, lower=True, overwrite_a=True, check_finite=False)
+        factor = (cho_factor(mt),)
     except np.linalg.LinAlgError:
         factor = None
     if factor is not None:
         positive_definite = True
-        pocon = get_lapack_funcs("pocon", (mt,))
-        rcond, _ = pocon(factor[0], anorm, uplo="L")
+        rcond = pocon(factor[0], anorm)
     else:
+        from scipy.linalg import get_lapack_funcs  # the one solver path that needs scipy
+
         positive_definite = False
         warnings.warn(
             "kernel matrix is not positive definite; falling back to a "

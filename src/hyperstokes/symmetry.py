@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NoTranslationalOrientation
-from .geometry import DiscretizedBody, ensure_orthogonal
+from .geometry import DiscretizedBody, ensure_orthogonal, nearest_neighbors
 from .mobility import ResistanceSet
 
 __all__ = [
@@ -59,7 +59,6 @@ def check_geometric_invariance(dbody: DiscretizedBody, Q) -> float:
     weight mismatches scaled by the body diameter.  Invariance holds when
     the error is below 1e-9 times the diameter.
     """
-    from scipy.spatial import cKDTree  # imported here: most commands never match nodes
     Q = ensure_orthogonal(Q)
     x = dbody.nodes
     mapped = x @ Q.T
@@ -68,7 +67,8 @@ def check_geometric_invariance(dbody: DiscretizedBody, Q) -> float:
     w = dbody.weights
     err = 0.0
     for src, dst in ((mapped, x), (x, mapped)):
-        dist, idx = cKDTree(dst).query(src)
+        dist, idx = nearest_neighbors(dst, src)
+        idx = idx[:, 0]
         err = max(err, float(dist.max()))
         err = max(err, diam * float(np.abs(rho - rho[idx]).max() / rho.max()))
         err = max(err, diam * float(np.abs(w - w[idx]).max() / w.max()))

@@ -16,14 +16,38 @@ from hyperstokes.cli import PhysicalParams, main, nondim
 from hyperstokes.serialize import body_from_dict, body_to_dict, json_text, load_body
 
 
-def test_cli_import_leaves_out_optimize_and_spatial():
-    # a fresh interpreter: the other tests may already have imported both
+_SCIPY_PROBE = """
+import sys
+from hyperstokes import _lapack, cli
+from hyperstokes.serialize import body_to_dict, json_text
+from hyperstokes.geometry import tripod_tetrahedron
+args = sys.argv[1:]
+if args:
+    with open(args[1], "w") as f:
+        f.write(json_text(body_to_dict(tripod_tetrahedron(1.0))))
+    cli.main(args, standalone_mode=False)
+print(_lapack.SOURCE, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["freefall"],
+    ["fixed-points"],
+    ["symmetry", "--transform", "1", "0", "0", "0", "-0.5", "-0.8660254037844386",
+     "0", "0.8660254037844386", "-0.5"],
+], ids=["import", "freefall", "fixed-points", "symmetry"])
+def test_cli_loads_no_scipy(tmp_path, args):
+    # a fresh interpreter: the other tests import scipy
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, hyperstokes.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+    argv = [args[0], str(tmp_path / "tripod.json"), *args[1:]] if args else []
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                         env={**os.environ, "PYTHONPATH": str(src)},
                          check=True, capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    source, loaded = out.stdout.splitlines()[-1].split(" ", 1)
+    if source != "numpy-openblas":
+        pytest.skip("numpy's OpenBLAS was not found, so LAPACK comes from scipy")
+    assert loaded == "[]"
 
 
 @pytest.fixture()

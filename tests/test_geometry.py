@@ -168,6 +168,39 @@ class TestDiscretize:
         assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.6)
 
 
+class TestNearestNeighbors:
+    @pytest.mark.parametrize("n", [12, 13, 20, 50, 100, 2000, 5000, 20000])
+    def test_lattice_neighbor_sets_match_kd_tree(self, n):
+        from scipy.spatial import cKDTree
+
+        from hyperstokes.dynamics import fibonacci_sphere
+
+        grid = fibonacci_sphere(n)
+        dist, idx = geometry.nearest_neighbors(grid, grid, k=7)
+        ref_dist, ref_idx = cKDTree(grid).query(grid, k=7)
+        assert np.array_equal(np.sort(idx, axis=1), np.sort(ref_idx, axis=1))
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(idx[:, 0], np.arange(n))  # each point is its own nearest
+
+    @pytest.mark.parametrize("chunk_pairs", [250_000, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_clouds_match_kd_tree(self, rng, monkeypatch, chunk_pairs, k):
+        from scipy.spatial import cKDTree
+
+        monkeypatch.setattr(geometry, "_NEIGHBOR_CHUNK_PAIRS", chunk_pairs)
+        for n in (3, 37, 500):
+            points = rng.standard_normal((n, 3)) * [1.0, 5.0, 0.2]
+            queries = rng.standard_normal((n + 5, 3))
+            dist, idx = geometry.nearest_neighbors(points, queries, k)
+            ref_dist, ref_idx = cKDTree(points).query(queries, k=[*range(1, k + 1)])
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(dist, ref_dist)
+
+    def test_more_neighbors_than_points_rejected(self):
+        with pytest.raises(InvalidArgument):
+            geometry.nearest_neighbors(np.zeros((2, 3)), np.zeros((1, 3)), k=3)
+
+
 class TestTransform:
     def test_identity(self):
         body = bent_rod(90.0, 0.5)

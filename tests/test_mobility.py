@@ -8,7 +8,7 @@ from math import pi
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 from scipy.stats import ortho_group
 
 from hyperstokes import (
@@ -31,6 +31,7 @@ from hyperstokes import (
     transform,
     tripod_tetrahedron,
 )
+from hyperstokes import _lapack
 from hyperstokes.mobility import dissipation, symmetrized_matrix
 
 
@@ -124,6 +125,53 @@ class TestAssemble:
         monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need)
         assert assemble(dbody, kernel).positive_definite
 
+    def test_matrix_larger_than_available_memory_rejected(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 512)  # a 279 MB matrix
+        need = 8 * (3 * dbody.n_nodes) ** 2
+        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssemblyError, match="memory available now"):
+                assemble(dbody, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need / 100
+
+    def test_available_memory_read_from_meminfo(self, kernel, monkeypatch, tmp_path):
+        import hyperstokes.mobility as mob
+
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       8000 kB\nMemAvailable:    1234 kB\n")
+        monkeypatch.setattr(mob, "_MEMINFO", str(meminfo))
+        assert mob._available_memory_bytes() == 1234 * 1024
+        with pytest.raises(AssemblyError, match="memory available now"):
+            assemble(discretize(helix(0.2, 0.1, 3), 32), kernel)
+        # unreadable: physical memory is the only limit
+        monkeypatch.setattr(mob, "_MEMINFO", str(tmp_path / "missing"))
+        assert mob._available_memory_bytes() is None
+        assert assemble(discretize(helix(0.2, 0.1, 3), 32), kernel).positive_definite
+
+    @pytest.mark.parametrize("name, resolution, cpus", [
+        ("tripod", 8, 2),  # one column block
+        ("helix", 128, 1),  # six blocks, one CPU
+    ])
+    def test_single_worker_fill_starts_no_thread_pool(self, bodies, kernel, monkeypatch,
+                                                      name, resolution, cpus):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(bodies[name], resolution)
+        ref = resistance(dbody, kernel)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(mob, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: cpus)
+        assert np.array_equal(resistance(dbody, kernel).A, ref.A)
+
     @pytest.mark.parametrize("name, resolution, blocks", [
         ("tripod", 8, 1),
         ("helix", 128, 6),  # several column blocks: the fill runs on the pool
@@ -134,7 +182,8 @@ class TestAssemble:
         dbody = discretize(bodies[name], resolution)
         assert len(mob._column_blocks(dbody.n_nodes)) == blocks
         km = assemble(dbody, kernel)
-        ref, _ = cho_factor(symmetrized_matrix(dbody, kernel), lower=True)
+        # the same LAPACK build as assemble's: another one may round differently
+        ref = _lapack.cho_factor(symmetrized_matrix(dbody, kernel))
         assert np.array_equal(np.tril(km._factor[0]), np.tril(ref))
 
     @pytest.mark.parametrize("name", ["rod", "bent_rod", "tripod", "octahedron", "helix"])
