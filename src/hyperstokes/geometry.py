@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
@@ -24,12 +25,14 @@ __all__ = [
     "BodyGeometry",
     "MassProperties",
     "DiscretizedBody",
+    "Involution",
     "mass_properties",
     "total_length",
     "diameter",
     "transform",
     "discretize",
     "ensure_orthogonal",
+    "find_involution",
     "nearest_neighbors",
     "rod",
     "bent_rod",
@@ -41,6 +44,9 @@ __all__ = [
 _ORTHO_TOL = 1e-12
 _DIAMETER_CHUNK_PAIRS = 250_000
 _NEIGHBOR_CHUNK_PAIRS = 250_000
+_INVOLUTION_RTOL = 1e-12  # node positions match to this fraction of the cloud's radius
+_INVOLUTION_CANDIDATES = 64  # anchor images tried before giving up
+_INVOLUTION_SCREEN = 16  # about this many nodes checked before a candidate gets the full match
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +159,24 @@ class DiscretizedBody:
     def diameter(self) -> float:
         return _cloud_diameter(self.nodes)
 
+    @cached_property
+    def involution(self) -> Involution | None:
+        """The point-free involution of the nodes (:func:`find_involution`), or None."""
+        return find_involution(self.nodes, self.weights)
+
+
+@dataclass(frozen=True, eq=False)
+class Involution:
+    """An affine map x -> c + Q (x - c) that permutes the nodes without fixing any.
+
+    Q is symmetric orthogonal and not the identity (a C2 rotation, a mirror
+    or the inversion); node k maps onto node ``sigma[k]`` != k, with
+    ``sigma[sigma[k]] == k`` and equal weights.
+    """
+
+    Q: np.ndarray
+    sigma: np.ndarray
+
 
 def _edges(body: BodyGeometry):
     """Yield (p0, p1, rho) for every edge of every segment."""
@@ -229,6 +253,91 @@ def nearest_neighbors(points, queries, k: int = 1):
         todo = np.concatenate(retry)
         half *= 2
     return np.sqrt(d2_out), order[idx_out]
+
+
+def _frame(u: np.ndarray, v: np.ndarray, handedness: float = 1.0) -> np.ndarray:
+    """Rows e1 || u, e2 in the plane of u and v, e3 = handedness * e1 x e2."""
+    e1 = u / np.linalg.norm(u)
+    e2 = v - (v @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    return np.array([e1, e2, handedness * np.cross(e1, e2)])
+
+
+_SKEW = _frame(np.array([1.0, 0.618, 0.382]), np.array([0.2, 1.0, 0.7])).T
+
+
+def find_involution(nodes, weights) -> Involution | None:
+    """A point-free affine involution of the weighted node set, or None.
+
+    The centre c is the weight centroid.  Q is pinned by two anchors: the
+    farthest node a from c and the node b farthest from the line through c
+    and a (ties go to the lowest index, so the anchors do not depend on
+    roundoff).  Each image a' of equal radius and weight, and each image b'
+    of equal radius, weight and dot product with a', gives a proper and an
+    improper candidate mapping the frame of (a, b) onto that of (a', b').
+    A candidate must be symmetric, then map a few screening nodes onto
+    other nodes of equal weight (O(N) each), and only then all of them:
+    positions to 1e-12 of the cloud's radius, weights to 1e-12 relative.
+    Candidates are tried in index order and at most 64 of them, so the
+    choice is deterministic.  Collinear and odd-sized node sets have none
+    that this search can pin down.
+    """
+    x = np.asarray(nodes, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    n = len(x)
+    if n < 2 or n % 2:
+        return None
+    y = x - w @ x / w.sum()
+    r = np.sqrt(np.einsum("ij,ij->i", y, y))
+    size = r.max()
+    tol = _INVOLUTION_RTOL * size
+    wtol = _INVOLUTION_RTOL * w.max()
+    a = int(np.argmax(r >= size - tol))
+    lever = np.linalg.norm(np.cross(y[a] / r[a], y), axis=1)
+    if lever.max() <= tol:
+        return None
+    b = int(np.argmax(lever >= lever.max() - tol))
+    frame = _frame(y[a], y[b])
+    screen = np.arange(0, n, max(1, n // _INVOLUTION_SCREEN))
+
+    def like(k):
+        return (np.abs(r - r[k]) <= tol) & (np.abs(w - w[k]) <= wtol)
+
+    def passes_screen(q):
+        d2 = (((y[screen] @ q)[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+        near = d2.argmin(axis=1)
+        return bool(np.all((d2[np.arange(len(screen)), near] <= tol * tol)
+                           & (near != screen) & (np.abs(w[near] - w[screen]) <= wtol)))
+
+    like_b = like(b)
+    tried = 0
+    for a2 in np.flatnonzero(like(a)):
+        if a2 == a:
+            continue
+        dots = np.abs(y @ y[a2] - y[a] @ y[b]) <= tol * size
+        for b2 in np.flatnonzero(like_b & dots):
+            if b2 in (a2, b):
+                continue
+            for handedness in (1.0, -1.0):
+                if tried == _INVOLUTION_CANDIDATES:
+                    return None
+                tried += 1
+                q = _frame(y[a2], y[b2], handedness).T @ frame
+                if np.abs(q - q.T).max() > 1e-9:  # an orthogonal involution is symmetric
+                    continue
+                q = 0.5 * (q + q.T)
+                if not passes_screen(q):
+                    continue
+                # in a skew frame, as axis-aligned bodies tie on the search's sort coordinate
+                dist, idx = nearest_neighbors(y @ _SKEW, y @ q @ _SKEW)
+                sigma = idx[:, 0]
+                if (dist.max() <= tol and np.all(sigma != np.arange(n))
+                        and np.array_equal(sigma[sigma], np.arange(n))
+                        and np.abs(w[sigma] - w).max() <= wtol):
+                    q.setflags(write=False)
+                    sigma.setflags(write=False)
+                    return Involution(Q=q, sigma=sigma)
+    return None
 
 
 def total_length(body: BodyGeometry) -> float:

@@ -13,7 +13,15 @@ The solver factorizes the weight-symmetrized matrix
 
 which is symmetric by construction (Z is even and symmetric) and positive
 definite for valid discretizations; a failed Cholesky factorization is
-reported and a symmetric-indefinite factorization is used as fallback.
+reported as SingularSystemError.
+
+When the nodes have a point-free involution x -> c + Q (x - c) permuting
+them by sigma with equal weights (:attr:`DiscretizedBody.involution`), Mt
+commutes with P_sigma (x) Q.  In the orthonormal basis
+(e_k (x) v +- e_sigma(k) (x) Q v) / sqrt(2) over the representatives
+k < sigma(k) it splits into two blocks Mt+ and Mt- of half the size, with
+3x3 blocks Mt_kl +- Mt_k,sigma(l) Q, which are filled and factored instead
+of Mt: a quarter of the factorization work and half the memory.
 
 Sign conventions: f is the force per unit length exerted by the body on the
 fluid, so the hydrodynamic force and torque on the body are
@@ -28,7 +36,6 @@ T = -(C xi + B omega), with A = [[K, S], [C, B]] symmetric positive
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -53,7 +60,7 @@ __all__ = [
     "dissipation",
 ]
 
-_ASSEMBLY_CHUNK_PAIRS = 50_000  # node pairs per fill step; its ~3.6 MB of output stays in cache
+_ASSEMBLY_CHUNK_PAIRS = 50_000  # pair evaluations per fill step; its ~3.6 MB of output stays in cache
 _MEMINFO = "/proc/meminfo"
 
 
@@ -61,37 +68,48 @@ _MEMINFO = "/proc/meminfo"
 class KernelMatrix:
     """Factorized collocation system for one body and kernel.
 
-    Only the factor of the symmetrized system W^{1/2} M W^{1/2} is kept
-    (:func:`symmetrized_matrix` returns the system itself); ``condition`` is
-    a LAPACK 1-norm estimate for it.  ``positive_definite`` records whether
-    the Cholesky factorization succeeded; ``_factor`` is then ``(L,)``, and
-    ``(ldu, ipiv, sytrs)`` of the symmetric-indefinite fallback otherwise.
+    Only the Cholesky factors of the symmetrized system W^{1/2} M W^{1/2}
+    are kept (:func:`symmetrized_matrix` returns the system itself):
+    ``_factor`` is ``(L,)``, or ``(L+, L-)`` of its two blocks when
+    ``_split = (Q, representatives, images)`` of the body's involution is
+    set.  ``condition`` is a LAPACK 1-norm estimate for the block-diagonal
+    system that was factored.
     """
 
     body: DiscretizedBody
     kernel: HyperKernel
     condition: float
-    positive_definite: bool
     _factor: tuple
     _sqrt_w: np.ndarray
+    _split: tuple | None = None
+
+    @property
+    def positive_definite(self) -> bool:
+        """Always True: a system whose Cholesky factorization fails is refused."""
+        return True
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """Force density f with (M W) f = u, for u of shape (3N,) or (3N, k).
 
         Solves Mt y = W^{1/2} u in the symmetrized variables; f = W^{-1/2} y.
+        Split systems solve Mt+- z+- = u+- with u+-_k = (u_k +- Q u_sigma(k)) / 2
+        and recombine y_k = z+_k + z-_k, y_sigma(k) = Q (z+_k - z-_k).
         """
         if not np.all(np.isfinite(u)):
             raise InvalidArgument("non-finite boundary data")
         sw = self._sqrt_w if u.ndim == 1 else self._sqrt_w[:, None]
-        if self.positive_definite:
-            # potrs reads only the lower triangle; the upper one was never written
-            y = cho_solve(self._factor[0], sw * u)
-        else:
-            ldu, ipiv, sytrs = self._factor
-            y, info = sytrs(ldu, ipiv, sw * u, lower=1)
-            if info != 0:
-                raise SingularSystemError(f"symmetric-indefinite solve failed (info={info})")
-        return y / sw
+        # potrs reads only the lower triangle; the upper one was never written
+        if self._split is None:
+            return cho_solve(self._factor[0], sw * u) / sw
+        q, reps, images = self._split
+        y = (sw * u).reshape(len(sw) // 3, 3, -1)
+        own = 0.5 * y[reps]
+        mirrored = q @ (0.5 * y[images])
+        plus, minus = (cho_solve(c, rhs.reshape(-1, y.shape[2])).reshape(own.shape)
+                       for c, rhs in zip(self._factor, (own + mirrored, own - mirrored)))
+        y[reps] = plus + minus
+        y[images] = q @ (plus - minus)
+        return y.reshape(u.shape) / sw
 
 
 def _usable_cpus() -> int:
@@ -117,41 +135,65 @@ def _available_memory_bytes() -> int | None:
     return None
 
 
-def _column_blocks(n: int) -> list[tuple[int, int]]:
-    """Node ranges [lo, hi) of the fill steps, one column block each."""
-    chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(n, 1))
+def _column_blocks(n: int, count: int = 1) -> list[tuple[int, int]]:
+    """Node ranges [lo, hi) of the fill steps, one column block each.
+
+    A fill into ``count`` = 2 split blocks evaluates two node pairs (direct
+    and cross) per pair of representatives, so its steps are half as wide.
+    """
+    chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(count * n, 1))
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _empty_matrix(n: int) -> np.ndarray:
-    """Uninitialized Fortran-order (3N, 3N) array.
+def _empty_matrix(m: int, count: int) -> np.ndarray:
+    """Uninitialized Fortran-order (m, m, count) array: ``count`` square matrices.
 
-    Refused if it exceeds physical memory or the memory available now (when
-    the system reports it), so that a matrix the operating system would
-    kill the process for ends in a clean AssemblyError instead.
+    Each ``[:, :, t]`` is a Fortran-order matrix of its own.  Refused if the
+    8 m^2 count bytes exceed physical memory or the memory available now
+    (when the system reports it), so that a matrix the operating system
+    would kill the process for ends in a clean AssemblyError instead.
     """
-    need = 8 * (3 * n) ** 2
+    need = 8 * m * m * count
+    what_needs = (f"the {m} x {m} kernel matrix needs" if count == 1
+                  else f"the {count} kernel matrix blocks of {m} x {m} need")
     limits = [("physical memory", _physical_memory_bytes()),
               ("memory available now", _available_memory_bytes())]
     for what, have in limits:
         if have is not None and need > have:
             raise AssemblyError(
-                f"the {3 * n} x {3 * n} kernel matrix of {n} nodes needs "
-                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of "
-                f"{what}; lower the resolution"
+                f"{what_needs} {need / 2**30:.1f} GiB, more than the "
+                f"{have / 2**30:.1f} GiB of {what}; lower the resolution"
             )
-    return np.empty((3 * n, 3 * n), order="F")
+    return np.empty((m, m, count), order="F")
 
 
-def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel) -> float:
-    """Fill the lower block triangle of W^{1/2} M W^{1/2} into ``mt``; return its 1-norm.
+def _split_nodes(involution) -> tuple | None:
+    """(Q, representatives k < sigma(k), their images) of an involution, or None."""
+    if involution is None:
+        return None
+    sigma = involution.sigma
+    reps = np.flatnonzero(sigma > np.arange(len(sigma)))
+    return involution.Q, reps, sigma[reps]
 
-    Column block [lo, hi) of the nodes gets rows lo:N, so only the blocks
-    (k, l) with k >= l, plus the upper halves of the diagonal square blocks,
-    are written; the rest of ``mt`` is left as it was.  Block (k, l) is
-    sqrt(w_k w_l) Z(d), d = x_k - x_l, filled from the two scalars
-    a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as b d_i d_j + a delta_ij
-    (times sqrt(w_k w_l) / (8 pi ell)).
+
+def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
+                split: tuple | None = None) -> list[float]:
+    """Fill the lower block triangles of W^{1/2} M W^{1/2} or its two split blocks.
+
+    With ``split = None``, ``mt[:, :, 0]`` gets the (3N, 3N) matrix; with
+    ``split = (Q, reps, images)`` from :func:`_split_nodes`, ``mt[:, :, 0]``
+    and ``mt[:, :, 1]`` get the blocks Mt+ and Mt- over the representatives.
+    Returns the 1-norm of each.
+
+    Column block [lo, hi) of the (representative) nodes gets rows lo:n, so
+    only the blocks (k, l) with k >= l, plus the upper halves of the
+    diagonal square blocks, are written; the rest of ``mt`` is left as it
+    was.  Block (k, l) is sqrt(w_k w_l) Z(d), d = x_k - x_l, filled from the
+    two scalars a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as
+    b d_i d_j + a delta_ij (times sqrt(w_k w_l) / (8 pi ell)).  A split adds
+    the cross term sqrt(w_k w_l) Z(d') Q, d' = x_k - x_sigma(l), with entries
+    b' d'_i (Q d')_j + a' Q_ij, to the block of Mt+ and subtracts it from
+    that of Mt-.
 
     The column blocks run on a thread pool (numpy releases the GIL in the
     ufuncs) and write disjoint columns; with one block or one usable CPU the
@@ -161,68 +203,105 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel) -> 
     in block order, so the result does not depend on thread timing.  By
     symmetry a row sum below the diagonal block is the sum over the
     unfilled part of a later column, so the combined sums are the column
-    sums of the full symmetric matrix and their maximum is its 1-norm.
+    sums of the full symmetric matrix and their maximum is its 1-norm.  The
+    direct and cross pairs of a split together cover every pair of nodes,
+    so the spacing and distance checks see all of them.
 
     Raises AssemblyError for (near-)coincident nodes and for a non-finite
     entry (which makes its column sum, hence the norm, non-finite).
     """
     x = dbody.nodes
     w = dbody.weights
+    if split is not None:
+        q, reps, images = split
+        x, w, partners = x[reps], w[reps], x[images]
     n = len(x)
-    blocks = mt.T.reshape(n, 3, n, 3)  # blocks[l, j, k, i] = mt[3k + i, 3l + j]
+    targets = range(mt.shape[2])
+    blocks = [mt[:, :, t].T.reshape(n, 3, n, 3) for t in targets]  # [l, j, k, i] = [3k+i, 3l+j]
     scale = 1.0 / (8.0 * pi * kernel.ell)
 
-    def fill(bounds):
-        lo, hi = bounds
-        d = x[lo:hi, None, :] - x[None, lo:, :]
+    def pair_factors(d, lo, hi):
+        """Distances of the pairs with separations d and their scaled factors a, b."""
         r2 = (d * d).sum(axis=-1)
         r = np.sqrt(r2)
-        diam = r.max()
-        own = r[:, : hi - lo]
-        np.fill_diagonal(own, np.inf)
-        spacing = r.min()
-        np.fill_diagonal(own, 0.0)
         a, b = _factors_over_s(r / kernel.ell, kernel)
         c = np.sqrt(w[lo:hi, None] * w[None, lo:]) * scale
         a *= c
         b *= c
         b /= np.where(r2 > 0.0, r2, 1.0)  # d = 0 only on the diagonal, where b = 0
+        return r, a, b
+
+    def write(lo, hi):
+        """Fill column block [lo, hi); return its minimum spacing and largest distance."""
+        d = x[lo:hi, None, :] - x[None, lo:, :]
+        r, a, b = pair_factors(d, lo, hi)
+        diam = r.max()
+        own = r[:, : hi - lo]
+        np.fill_diagonal(own, np.inf)
+        spacing = r.min()
         for i in range(3):
             for j in range(i, 3):
                 comp = b * (d[..., i] * d[..., j])
                 if i == j:
                     comp += a
-                blocks[lo:hi, j, lo:, i] = comp
-                blocks[lo:hi, i, lo:, j] = comp
-        filled = np.abs(mt[3 * lo:, 3 * lo:3 * hi])
-        return spacing, diam, filled.sum(axis=0), filled[3 * (hi - lo):].sum(axis=1)
+                for target in blocks:
+                    target[lo:hi, j, lo:, i] = comp
+                    if i != j:
+                        target[lo:hi, i, lo:, j] = comp
+        if split is None:
+            return spacing, diam
+        # the cross term, once the direct one's temporaries are freed
+        del d, r, own, a, b, comp
+        d = x[None, lo:, :] - partners[lo:hi, None, :]
+        r, a, b = pair_factors(d, lo, hi)
+        qd = d @ q
+        for i in range(3):
+            for j in range(3):
+                cross = b * (d[..., i] * qd[..., j])
+                cross += a * q[i, j]
+                plus = blocks[0][lo:hi, j, lo:, i]
+                plus += cross
+                minus = blocks[1][lo:hi, j, lo:, i]
+                minus -= cross
+        return min(spacing, r.min()), max(diam, r.max())
 
-    bounds = _column_blocks(n)
+    def fill(bounds):
+        lo, hi = bounds
+        spacing, diam = write(lo, hi)
+        sums = []
+        for t in targets:
+            filled = np.abs(mt[3 * lo:, 3 * lo:3 * hi, t])
+            sums.append((filled.sum(axis=0), filled[3 * (hi - lo):].sum(axis=1)))
+            del filled
+        return spacing, diam, sums
+
+    bounds = _column_blocks(n, len(targets))
     spacing = np.inf
     diam = 0.0
-    col_sums = np.zeros(3 * n)
+    col_sums = np.zeros((len(targets), 3 * n))
     workers = min(_usable_cpus(), len(bounds))
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         filled = pool.map(fill, bounds) if pool is not None else map(fill, bounds)
-        for (lo, hi), (sp, dm, own_cols, rows_below) in zip(bounds, filled):
+        for (lo, hi), (sp, dm, sums) in zip(bounds, filled):
             spacing = min(spacing, sp)
             diam = max(diam, dm)
-            col_sums[3 * lo:3 * hi] += own_cols
-            col_sums[3 * hi:] += rows_below
+            for t, (own_cols, rows_below) in zip(targets, sums):
+                col_sums[t, 3 * lo:3 * hi] += own_cols
+                col_sums[t, 3 * hi:] += rows_below
     if spacing < 1e-12 * max(diam, 1e-300):
         raise AssemblyError(f"coincident quadrature nodes (min spacing {spacing:.3e})")
-    anorm = float(col_sums.max())
-    if not np.isfinite(anorm):
-        raise AssemblyError(f"non-finite entry in the kernel matrix (1-norm {anorm})")
-    return anorm
+    norms = [float(sums.max()) for sums in col_sums]
+    if not np.all(np.isfinite(norms)):
+        raise AssemblyError(f"non-finite entry in the kernel matrix (1-norms {norms})")
+    return norms
 
 
 def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarray:
     """The symmetrized system W^{1/2} M W^{1/2} as a Fortran-order (3N, 3N) array.
 
-    The full matrix, for tests and inspection: the lower block triangle that
-    :func:`assemble` factors, mirrored into the upper one.  Swapping k and l
-    only flips the sign of d, and each of the six distinct components of a
+    The full matrix, for tests and inspection: the lower block triangle of
+    the unsplit fill, mirrored into the upper one.  Swapping k and l only
+    flips the sign of d, and each of the six distinct components of a
     block is computed once and written to both (i, j) and (j, i), so the
     matrix equals its transpose bit for bit.
 
@@ -230,8 +309,9 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
     a matrix larger than physical or available memory.
     """
     n = dbody.n_nodes
-    mt = _empty_matrix(n)
+    mt = _empty_matrix(3 * n, 1)
     _fill_lower(mt, dbody, kernel)
+    mt = mt[:, :, 0]
     for lo, hi in _column_blocks(n):
         mt[3 * lo:3 * hi, 3 * hi:] = mt[3 * hi:, 3 * lo:3 * hi].T
     return mt
@@ -242,50 +322,37 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
 
     Only the lower triangle is computed, checked and factored; the 1-norm
     for the condition estimate and the finiteness check come from the fill.
-    The 8 (3N)^2 bytes of the matrix are checked against physical and
-    available memory before anything is allocated.
+    A body with a point-free involution gets the two half-size blocks of
+    its split instead of the (3N, 3N) matrix.  The bytes to be allocated
+    are checked against physical and available memory first.  ``condition``
+    is the 1-norm estimate max_t |Mt_t| * max_t 1 / (rcond_t |Mt_t|) of the
+    block-diagonal system; with one block, 1 / rcond.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory, and
-    SingularSystemError if both the Cholesky and the symmetric-indefinite
-    factorization fail.
+    SingularSystemError if a Cholesky factorization fails.
     """
-    mt = _empty_matrix(dbody.n_nodes)
-    anorm = _fill_lower(mt, dbody, kernel)
-    try:
-        factor = (cho_factor(mt),)
-    except np.linalg.LinAlgError:
-        factor = None
-    if factor is not None:
-        positive_definite = True
-        rcond = pocon(factor[0], anorm)
-    else:
-        from scipy.linalg import get_lapack_funcs  # the one solver path that needs scipy
-
-        positive_definite = False
-        warnings.warn(
-            "kernel matrix is not positive definite; falling back to a "
-            "symmetric-indefinite factorization",
-            stacklevel=2,
-        )
-        # the failed Cholesky factorization overwrote the lower triangle
-        _fill_lower(mt, dbody, kernel)
-        sytrf, sytrs, sycon = get_lapack_funcs(("sytrf", "sytrs", "sycon"), (mt,))
-        ldu, ipiv, info = sytrf(mt, lower=1, overwrite_a=1)
-        if info != 0:
-            raise SingularSystemError(
-                f"kernel matrix factorization failed (sytrf info={info})"
-            )
-        factor = (ldu, ipiv, sytrs)
-        rcond, _ = sycon(ldu, ipiv, anorm, lower=1)
-    condition = 1.0 / rcond if rcond > 0.0 else np.inf
+    split = _split_nodes(dbody.involution)
+    count = 1 if split is None else 2
+    mt = _empty_matrix(3 * dbody.n_nodes // count, count)
+    norms = _fill_lower(mt, dbody, kernel, split)
+    top = max(norms)
+    factors = []
+    condition = 0.0
+    for t, anorm in enumerate(norms):
+        try:
+            factors.append(cho_factor(mt[:, :, t]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"kernel matrix factorization failed: {exc}") from None
+        rcond = pocon(factors[-1], anorm)
+        condition = max(condition, top / anorm / rcond if rcond > 0.0 else np.inf)
     return KernelMatrix(
         body=dbody,
         kernel=kernel,
         condition=float(condition),
-        positive_definite=positive_definite,
-        _factor=factor,
+        _factor=tuple(factors),
         _sqrt_w=np.repeat(np.sqrt(dbody.weights), 3),
+        _split=split,
     )
 
 

@@ -51,18 +51,19 @@ def _axes(axis: int):
     return n, p, q
 
 
-def check_geometric_invariance(dbody: DiscretizedBody, Q) -> float:
+def check_geometric_invariance(dbody: DiscretizedBody, Q, diameter: float | None = None) -> float:
     """Node-matching error between the discretized body and its image under Q.
 
     Each node of the image is matched to its nearest original node (and vice
     versa); the error combines the worst position mismatch with density and
     weight mismatches scaled by the body diameter.  Invariance holds when
-    the error is below 1e-9 times the diameter.
+    the error is below 1e-9 times the diameter.  A caller that already has
+    ``dbody.diameter`` (an O(N^2) computation) may pass it in.
     """
     Q = ensure_orthogonal(Q)
     x = dbody.nodes
     mapped = x @ Q.T
-    diam = max(dbody.diameter, 1e-300)
+    diam = max(dbody.diameter if diameter is None else diameter, 1e-300)
     rho = dbody.densities
     w = dbody.weights
     err = 0.0
@@ -192,10 +193,9 @@ def symmetry_report(
         Q = ensure_orthogonal(Q)
         report.Q = Q
         report.det = float(np.linalg.det(Q))
-        report.invariance_error = check_geometric_invariance(dbody, Q)
-        report.invariant = report.invariance_error < _INVARIANCE_RTOL * max(
-            dbody.diameter, 1e-300
-        )
+        diam = dbody.diameter
+        report.invariance_error = check_geometric_invariance(dbody, Q, diam)
+        report.invariant = report.invariance_error < _INVARIANCE_RTOL * max(diam, 1e-300)
         report.tensor_residuals = check_transform_law(res, Q)
     if plane_axis is not None:
         report.plane_axis = plane_axis

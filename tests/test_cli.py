@@ -20,27 +20,29 @@ _SCIPY_PROBE = """
 import sys
 from hyperstokes import _lapack, cli
 from hyperstokes.serialize import body_to_dict, json_text
-from hyperstokes.geometry import tripod_tetrahedron
+from hyperstokes.geometry import helix, tripod_tetrahedron
 args = sys.argv[1:]
 if args:
+    body = helix(0.2, 0.1, 3) if args[1].endswith("helix.json") else tripod_tetrahedron(1.0)
     with open(args[1], "w") as f:
-        f.write(json_text(body_to_dict(tripod_tetrahedron(1.0))))
+        f.write(json_text(body_to_dict(body)))
     cli.main(args, standalone_mode=False)
 print(_lapack.SOURCE, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-@pytest.mark.parametrize("args", [
-    [],
-    ["freefall"],
-    ["fixed-points"],
-    ["symmetry", "--transform", "1", "0", "0", "0", "-0.5", "-0.8660254037844386",
-     "0", "0.8660254037844386", "-0.5"],
-], ids=["import", "freefall", "fixed-points", "symmetry"])
-def test_cli_loads_no_scipy(tmp_path, args):
+@pytest.mark.parametrize("args, body", [
+    ([], "tripod"),
+    (["freefall"], "tripod"),
+    (["fixed-points"], "tripod"),
+    (["symmetry", "--transform", "1", "0", "0", "0", "-0.5", "-0.8660254037844386",
+      "0", "0.8660254037844386", "-0.5"], "tripod"),
+    (["resistance"], "helix"),  # the helix is factored as two split blocks
+], ids=["import", "freefall", "fixed-points", "symmetry", "resistance-helix"])
+def test_cli_loads_no_scipy(tmp_path, args, body):
     # a fresh interpreter: the other tests import scipy
     src = Path(__file__).resolve().parents[1] / "src"
-    argv = [args[0], str(tmp_path / "tripod.json"), *args[1:]] if args else []
+    argv = [args[0], str(tmp_path / f"{body}.json"), *args[1:]] if args else []
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
                          env={**os.environ, "PYTHONPATH": str(src)},
                          check=True, capture_output=True, text=True, timeout=120)
@@ -407,6 +409,21 @@ class TestErrorSlugs:
         result = runner.invoke(main, ["resistance", str(path), "--resolution", "4"])
         assert result.exit_code == 2
         assert result.stderr.startswith("error[assembly]")
+
+    @pytest.mark.parametrize("body_file", ["rod_file", "octa_file"])  # one block, two blocks
+    def test_failed_factorization_is_singular_system(self, runner, monkeypatch, request,
+                                                     body_file):
+        import hyperstokes.mobility as mob
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("matrix is not positive definite (leading minor 3)")
+
+        monkeypatch.setattr(mob, "cho_factor", refuse)
+        path = request.getfixturevalue(body_file)
+        result = runner.invoke(main, ["resistance", path, "--resolution", "8"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[singular-system]")
+        assert "not positive definite" in result.stderr
 
     def test_matrix_larger_than_memory_fails_assembly(self, runner, rod_file, monkeypatch):
         import hyperstokes.mobility as mob

@@ -201,6 +201,89 @@ class TestNearestNeighbors:
             geometry.nearest_neighbors(np.zeros((2, 3)), np.zeros((1, 3)), k=3)
 
 
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+class TestFindInvolution:
+    @staticmethod
+    def _check(inv, nodes, weights):
+        n = len(nodes)
+        assert np.array_equal(inv.sigma[inv.sigma], np.arange(n))
+        assert np.all(inv.sigma != np.arange(n))
+        assert np.array_equal(inv.Q, inv.Q.T)
+        assert np.abs(inv.Q @ inv.Q - np.eye(3)).max() < 1e-14
+        assert np.trace(inv.Q) < 2.5  # not the identity
+        c = weights @ nodes / weights.sum()
+        size = np.linalg.norm(nodes - c, axis=1).max()
+        assert np.abs((nodes - c) @ inv.Q + c - nodes[inv.sigma]).max() <= 1e-12 * size
+        assert np.abs(weights[inv.sigma] - weights).max() <= 1e-12 * weights.max()
+
+    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
+    @pytest.mark.parametrize("resolution", [8, 16, 64])
+    def test_found_for_symmetric_bodies(self, bodies, name, resolution):
+        dbody = discretize(bodies[name], resolution)
+        inv = dbody.involution
+        assert inv is not None
+        assert dbody.involution is inv  # found once per body
+        self._check(inv, dbody.nodes, dbody.weights)
+
+    @pytest.mark.parametrize("name", ["rod", "tripod"])
+    @pytest.mark.parametrize("resolution", [8, 16, 64])
+    def test_none_for_collinear_rod_and_tripod(self, bodies, rng, name, resolution):
+        for q in (np.eye(3), _random_rotation(rng)):
+            dbody = discretize(transform(bodies[name], q), resolution)
+            assert dbody.involution is None
+
+    def test_none_for_helix_with_one_vertex_moved(self, bodies):
+        points = bodies["helix"].segments[0].points.copy()
+        assert discretize(bodies["helix"], 16).involution is not None
+        points[20] += 1e-9 * np.array([0.6, 0.0, 0.8])
+        moved = BodyGeometry(name="helix", segments=(Segment(points=points),))
+        assert discretize(moved, 16).involution is None
+
+    def test_none_for_unequal_weights(self):
+        # a regular hexagon: point symmetric, so only the weights can rule it out
+        angles = np.arange(6) * np.pi / 3.0
+        nodes = np.stack([np.cos(angles), np.sin(angles), np.zeros(6)], axis=1)
+        inv = geometry.find_involution(nodes, np.ones(6))
+        assert inv is not None
+        self._check(inv, nodes, np.ones(6))
+        # alternating weights keep the centroid; every point-free map of the
+        # hexagon onto itself sends a vertex to one of the other weight
+        assert geometry.find_involution(nodes, np.array([2.0, 1.0] * 3)) is None
+        # and so does a perturbation of a single weight
+        weights = discretize(helix(0.2, 0.1, 3), 16).weights.copy()
+        weights[3] *= 1.0 + 1e-9
+        assert geometry.find_involution(discretize(helix(0.2, 0.1, 3), 16).nodes,
+                                        weights) is None
+
+    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
+    def test_deterministic_under_rotation(self, bodies, rng, name):
+        ref = discretize(bodies[name], 16).involution
+        for _ in range(4):
+            q = _random_rotation(rng)
+            inv = discretize(transform(bodies[name], q), 16).involution
+            assert np.array_equal(inv.sigma, ref.sigma)
+            assert np.abs(inv.Q - q @ ref.Q @ q.T).max() < 1e-12
+
+    @pytest.mark.parametrize("name, full_matches", [("tripod", 0), ("helix", 1)])
+    def test_rejected_candidates_skip_the_full_match(self, bodies, monkeypatch,
+                                                     name, full_matches):
+        calls = []
+        search = geometry.nearest_neighbors
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "nearest_neighbors", counting)
+        dbody = discretize(bodies[name], 64)
+        assert (dbody.involution is None) == (full_matches == 0)
+        assert len(calls) == full_matches
+
+
 class TestTransform:
     def test_identity(self):
         body = bent_rod(90.0, 0.5)

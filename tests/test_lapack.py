@@ -81,9 +81,9 @@ def test_condition_estimate_independent_of_heap_placement(rng):
     # with work arrays wherever the heap puts them, this estimate took three
     # values in its last digits over 200 calls
     dbody = discretize(octahedron_frame(1.0), 16)
-    mt = mob._empty_matrix(dbody.n_nodes)
-    anorm = mob._fill_lower(mt, dbody, HyperKernel(ell=0.1))
-    c = _lapack.cho_factor(mt)
+    mt = mob._empty_matrix(3 * dbody.n_nodes, 1)
+    (anorm,) = mob._fill_lower(mt, dbody, HyperKernel(ell=0.1))
+    c = _lapack.cho_factor(mt[:, :, 0])
     held, values = [], set()
     for _ in range(200):
         held.append(np.empty(int(rng.integers(1, 5000))))  # move the heap around

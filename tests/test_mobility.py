@@ -17,6 +17,7 @@ from hyperstokes import (
     HyperKernel,
     InvalidArgument,
     ResistanceSet,
+    SingularSystemError,
     Segment,
     assemble,
     classical_oseen,
@@ -38,6 +39,30 @@ from hyperstokes.mobility import dissipation, symmetrized_matrix
 def single_node_body(ell=1.0):
     """A rod discretized to exactly one quadrature node at the origin."""
     return discretize(rod(1.0), 1.0)
+
+
+@pytest.fixture()
+def dense_path(monkeypatch):
+    """Bodies discretized from now on have no involution, so assemble never splits."""
+    import hyperstokes.geometry as geo
+
+    monkeypatch.setattr(geo, "find_involution", lambda nodes, weights: None)
+
+
+def split_blocks(dbody, kernel):
+    """Mt+ and Mt- formed from the full matrix by the explicit change of basis."""
+    inv = dbody.involution
+    n = dbody.n_nodes
+    reps = np.flatnonzero(inv.sigma > np.arange(n))
+    full = symmetrized_matrix(dbody, kernel)
+    blocks = []
+    for sign in (1.0, -1.0):
+        basis = np.zeros((n, 3, len(reps), 3))
+        basis[reps, :, np.arange(len(reps)), :] = np.eye(3) / np.sqrt(2.0)
+        basis[inv.sigma[reps], :, np.arange(len(reps)), :] = sign * inv.Q / np.sqrt(2.0)
+        basis = basis.reshape(3 * n, 3 * n // 2)
+        blocks.append(basis.T @ full @ basis)
+    return blocks
 
 
 class TestAssemble:
@@ -100,6 +125,18 @@ class TestAssemble:
             tracemalloc.stop()
         assert peak <= 2 * matrix_bytes, peak / matrix_bytes
 
+    def test_split_assemble_peak_memory_below_unsplit_matrix(self, kernel):
+        dbody = discretize(helix(0.2, 0.1, 3), 256)
+        assert dbody.involution is not None
+        matrix_bytes = 8 * (3 * dbody.n_nodes) ** 2
+        tracemalloc.start()
+        try:
+            assemble(dbody, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * matrix_bytes, peak / matrix_bytes
+
     def test_non_finite_entry_rejected(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
 
@@ -114,7 +151,7 @@ class TestAssemble:
         with pytest.raises(AssemblyError, match="non-finite"):
             assemble(discretize(tripod_tetrahedron(1.0), 8), kernel)
 
-    def test_matrix_larger_than_memory_rejected(self, kernel, monkeypatch):
+    def test_matrix_larger_than_memory_rejected(self, kernel, monkeypatch, dense_path):
         import hyperstokes.mobility as mob
 
         dbody = discretize(helix(0.2, 0.1, 3), 32)
@@ -125,7 +162,20 @@ class TestAssemble:
         monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need)
         assert assemble(dbody, kernel).positive_definite
 
-    def test_matrix_larger_than_available_memory_rejected(self, kernel, monkeypatch):
+    def test_split_blocks_larger_than_memory_rejected(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 32)
+        assert dbody.involution is not None
+        need = 2 * 8 * (3 * dbody.n_nodes // 2) ** 2  # half the unsplit matrix
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(AssemblyError, match="physical memory"):
+            assemble(dbody, kernel)
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need)
+        assert assemble(dbody, kernel).positive_definite
+
+    def test_matrix_larger_than_available_memory_rejected(self, kernel, monkeypatch,
+                                                          dense_path):
         import hyperstokes.mobility as mob
 
         dbody = discretize(helix(0.2, 0.1, 3), 512)  # a 279 MB matrix
@@ -140,7 +190,23 @@ class TestAssemble:
             tracemalloc.stop()
         assert peak < need / 100
 
-    def test_available_memory_read_from_meminfo(self, kernel, monkeypatch, tmp_path):
+    def test_split_blocks_larger_than_available_memory_rejected(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 512)  # two 70 MB blocks
+        need = 2 * 8 * (3 * dbody.n_nodes // 2) ** 2
+        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssemblyError, match="memory available now"):
+                assemble(dbody, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need / 100
+
+    def test_available_memory_read_from_meminfo(self, kernel, monkeypatch, tmp_path,
+                                                dense_path):
         import hyperstokes.mobility as mob
 
         meminfo = tmp_path / "meminfo"
@@ -176,7 +242,8 @@ class TestAssemble:
         ("tripod", 8, 1),
         ("helix", 128, 6),  # several column blocks: the fill runs on the pool
     ])
-    def test_factor_is_cholesky_of_full_matrix(self, bodies, kernel, name, resolution, blocks):
+    def test_factor_is_cholesky_of_full_matrix(self, bodies, kernel, dense_path,
+                                               name, resolution, blocks):
         import hyperstokes.mobility as mob
 
         dbody = discretize(bodies[name], resolution)
@@ -186,14 +253,45 @@ class TestAssemble:
         ref = _lapack.cho_factor(symmetrized_matrix(dbody, kernel))
         assert np.array_equal(np.tril(km._factor[0]), np.tril(ref))
 
+    @pytest.mark.parametrize("name, resolution", [
+        ("bent_rod", 8), ("octahedron", 8), ("helix", 8),
+        ("helix", 128),  # several column blocks: the fill runs on the pool
+    ])
+    def test_split_factors_are_cholesky_of_split_blocks(self, bodies, kernel,
+                                                        name, resolution):
+        dbody = discretize(bodies[name], resolution)
+        km = assemble(dbody, kernel)
+        assert km._split is not None and len(km._factor) == 2
+        for factor, block in zip(km._factor, split_blocks(dbody, kernel)):
+            low = np.tril(factor)
+            assert np.abs(low @ low.T - block).max() <= 1e-13 * np.abs(block).max()
+
     @pytest.mark.parametrize("name", ["rod", "bent_rod", "tripod", "octahedron", "helix"])
-    def test_condition_uses_norm_of_full_matrix(self, bodies, kernel, name):
+    def test_condition_uses_norm_of_full_matrix(self, bodies, kernel, dense_path, name):
         dbody = discretize(bodies[name], 128)
         km = assemble(dbody, kernel)
         full = symmetrized_matrix(dbody, kernel)
         lange, pocon = get_lapack_funcs(("lange", "pocon"), (full,))
         rcond, _ = pocon(km._factor[0], lange("1", full), uplo="L")
         assert km.condition == pytest.approx(1.0 / rcond, rel=1e-12)
+
+    @pytest.mark.parametrize("name, resolution", [
+        ("bent_rod", 128), ("octahedron", 32), ("helix", 128),
+    ])
+    def test_split_condition_uses_norms_of_both_blocks(self, bodies, kernel, name, resolution):
+        dbody = discretize(bodies[name], resolution)
+        km = assemble(dbody, kernel)
+        blocks = split_blocks(dbody, kernel)
+        lange, pocon = get_lapack_funcs(("lange", "pocon"), (blocks[0],))
+        norms = [lange("1", block) for block in blocks]
+        inverse_norms = [1.0 / (pocon(factor, norm, uplo="L")[0] * norm)
+                         for factor, norm in zip(km._factor, norms)]
+        assert km.condition == pytest.approx(max(norms) * max(inverse_norms), rel=1e-12)
+        # the same estimate as the unsplit system's, up to the change of basis
+        full = symmetrized_matrix(dbody, kernel)
+        lange, pocon = get_lapack_funcs(("lange", "pocon"), (full,))
+        rcond, _ = pocon(np.linalg.cholesky(full), lange("1", full), uplo="L")
+        assert 0.5 < km.condition * rcond < 2.0
 
     def test_unwritten_upper_triangle_is_never_read(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
@@ -202,7 +300,8 @@ class TestAssemble:
         ref = resistance(dbody, kernel)
         # an uninitialized allocation may hold any bits, NaN included
         monkeypatch.setattr(
-            mob, "_empty_matrix", lambda n: np.full((3 * n, 3 * n), np.nan, order="F")
+            mob, "_empty_matrix",
+            lambda m, count: np.full((m, m, count), np.nan, order="F"),
         )
         res = resistance(dbody, kernel)
         assert np.array_equal(res.A, ref.A)
@@ -212,20 +311,23 @@ class TestAssemble:
         import hyperstokes.mobility as mob
 
         dbody = discretize(helix(0.2, 0.1, 3), 128)
-        m = 3 * dbody.n_nodes
-        results = []
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for workers in (1, 8):  # 8 exceeds the 6 column blocks and most core counts
-                monkeypatch.setattr(mob, "_usable_cpus", lambda: workers)
-                mt = np.zeros((m, m), order="F")
-                results.append((mob._fill_lower(mt, dbody, kernel), np.tril(mt)))
-        finally:
-            sys.setswitchinterval(interval)
-        (norm1, low1), (norm8, low8) = results
-        assert norm1 == norm8
-        assert np.array_equal(low1, low8)
+        for split in (None, mob._split_nodes(dbody.involution)):
+            count = 1 if split is None else 2
+            m = 3 * dbody.n_nodes // count
+            results = []
+            interval = sys.getswitchinterval()
+            try:
+                sys.setswitchinterval(1e-6)
+                for workers in (1, 8):  # 8 exceeds the column blocks and most core counts
+                    monkeypatch.setattr(mob, "_usable_cpus", lambda: workers)
+                    mt = np.zeros((m, m, count), order="F")
+                    norms = mob._fill_lower(mt, dbody, kernel, split)
+                    results.append((norms, np.tril(mt.transpose(2, 0, 1))))
+            finally:
+                sys.setswitchinterval(interval)
+            (norm1, low1), (norm8, low8) = results
+            assert norm1 == norm8
+            assert np.array_equal(low1, low8)
 
     def test_fill_evaluates_lower_block_triangle(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
@@ -448,35 +550,57 @@ class TestEquivarianceViaTransform:
         ) < 1e-10
 
 
-class TestIndefiniteFallback:
-    @staticmethod
-    def _fallback_matches_cholesky(dbody, kernel, monkeypatch, rng, stand_in):
-        km_pd = assemble(dbody, kernel)
-        xi, om = rng.normal(size=3), rng.normal(size=3)
-        f_pd = solve_rigid(km_pd, xi, om)
+class TestSplitSolve:
+    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
+    def test_solve_matches_unsplit_system(self, bodies, kernel, rng, monkeypatch, name):
+        import hyperstokes.geometry as geo
 
+        dbody = discretize(bodies[name], 16)
+        km = assemble(dbody, kernel)
+        assert km._split is not None
+        monkeypatch.setattr(geo, "find_involution", lambda nodes, weights: None)
+        dense = assemble(discretize(bodies[name], 16), kernel)
+        assert dense._split is None
+        m = 3 * dbody.n_nodes
+        for u in (rng.normal(size=m), rng.normal(size=(m, 4))):
+            f = km.solve(u)
+            ref = dense.solve(u)
+            assert f.shape == u.shape
+            assert np.abs(f - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["rod", "bent_rod", "tripod", "octahedron", "helix"])
+    def test_resistance_matches_unsplit_system(self, bodies, kernel, monkeypatch, name):
+        import hyperstokes.geometry as geo
+
+        rng = np.random.default_rng(7)
+        cases = []
+        for trial in range(3):
+            q = ortho_group.rvs(3, random_state=rng) if trial else np.eye(3)
+            body = transform(bodies[name], q)
+            for ell in (0.01, 0.1, 1.0):
+                for resolution in (8, 16, 32, 64):
+                    dbody = discretize(body, resolution)
+                    cases.append((body, ell, resolution, dbody.involution is not None,
+                                  resistance(dbody, HyperKernel(ell=ell)).A))
+        monkeypatch.setattr(geo, "find_involution", lambda nodes, weights: None)
+        for body, ell, resolution, split, a in cases:
+            ref = resistance(discretize(body, resolution), HyperKernel(ell=ell)).A
+            err = np.linalg.norm(a - ref) / np.linalg.norm(ref)
+            assert err <= 1e-13, (ell, resolution, err)
+            if not split:
+                assert np.array_equal(a, ref)
+        # the rod (collinear) and the tripod (its mirrors hold a leg) keep the dense path
+        assert all(split for *_, split, _ in cases) == (name not in ("rod", "tripod"))
+
+
+class TestFailedFactorization:
+    @pytest.mark.parametrize("name", ["tripod", "helix"])  # one block, two blocks
+    def test_failed_cholesky_is_singular_system(self, bodies, kernel, monkeypatch, name):
         import hyperstokes.mobility as mob
 
-        monkeypatch.setattr(mob, "cho_factor", stand_in)
-        with pytest.warns(UserWarning, match="not positive definite"):
-            km_bk = assemble(dbody, kernel)
-        assert not km_bk.positive_definite
-        assert km_bk.condition > 1.0
-        f_bk = solve_rigid(km_bk, xi, om)
-        assert np.allclose(f_bk, f_pd, rtol=1e-10, atol=1e-12 * np.abs(f_pd).max())
+        def refuse(a):
+            raise np.linalg.LinAlgError("matrix is not positive definite (leading minor 3)")
 
-    def test_sytrf_path_matches_cholesky(self, kernel, monkeypatch, rng):
-        def refuse(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced for the fallback test")
-
-        dbody = discretize(tripod_tetrahedron(1.0), 8)
-        self._fallback_matches_cholesky(dbody, kernel, monkeypatch, rng, refuse)
-
-    def test_sytrf_path_after_cholesky_overwrote_matrix(self, kernel, monkeypatch, rng):
-        # an in-place Cholesky factorization that fails leaves its input destroyed
-        def destroy_and_refuse(a, *args, **kwargs):
-            a[...] = np.nan
-            raise np.linalg.LinAlgError("forced for the fallback test")
-
-        dbody = discretize(tripod_tetrahedron(1.0), 8)
-        self._fallback_matches_cholesky(dbody, kernel, monkeypatch, rng, destroy_and_refuse)
+        monkeypatch.setattr(mob, "cho_factor", refuse)
+        with pytest.raises(SingularSystemError, match="not positive definite"):
+            assemble(discretize(bodies[name], 8), kernel)

@@ -215,6 +215,25 @@ class TestSymmetryReport:
         assert report.fore_aft is None  # different axes requested
         assert report.coupling_nullity >= 1
 
+    def test_diameter_computed_once(self, suite_solutions, monkeypatch):
+        import hyperstokes.geometry as geo
+
+        dbody, res = suite_solutions[("tripod", 8)]
+        q = rotation_about(0, 2.0 * np.pi / 3.0)
+        ref = symmetry_report(dbody, res, Q=q)
+        calls = []
+        diameter = geo._cloud_diameter
+
+        def counting(points):
+            calls.append(len(points))
+            return diameter(points)
+
+        monkeypatch.setattr(geo, "_cloud_diameter", counting)
+        report = symmetry_report(dbody, res, Q=q)
+        assert calls == [dbody.n_nodes]
+        assert report.invariance_error == ref.invariance_error
+        assert report.invariant == ref.invariant
+
     def test_fore_aft_flag_for_octahedron(self, suite_solutions):
         dbody, res = suite_solutions[("octahedron", 8)]
         report = symmetry_report(dbody, res, plane_axis=1, heli_axis=1)
