@@ -27,6 +27,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .freefall import FreefallInput, require_regular, skew
 from .geometry import nearest_neighbors
+from .mobility import _check_memory
 
 __all__ = [
     "OrientationTrajectory",
@@ -69,13 +70,19 @@ class OrientationTrajectory:
     max_norm_drift: float  # max | |G(t)| - 1 | over stored (renormalized) samples
     max_step_drift: float  # max per-step drift before renormalization
     final_residual: float  # |G x omega| at the final time
-    aborted: bool = False
+
+
+_SAMPLE_BYTES = 80  # t, G, xi and omega of one stored step
+_LATTICE_POINT_BYTES = 200  # a lattice point, its residual and its 7-neighbour table
 
 
 def check_time_grid(dt: float, t_end: float) -> None:
-    """Raise InvalidArgument unless the step and the end time are positive and finite."""
+    """Raise InvalidArgument unless dt and t_end are positive and finite and the samples fit."""
     if not (np.isfinite(dt) and dt > 0.0) or not (np.isfinite(t_end) and t_end > 0.0):
         raise InvalidArgument("dt and t_end must be positive")
+    _check_memory(_SAMPLE_BYTES * (t_end / dt + 1.0),
+                  f"a trajectory of {t_end / dt:.3g} steps needs",
+                  "raise dt or lower t_end", InvalidArgument)
 
 
 def integrate_orientation(
@@ -156,9 +163,12 @@ def _polish(g: np.ndarray, l_omega: np.ndarray) -> np.ndarray:
 
 
 def check_grid_resolution(grid_resolution: int) -> None:
-    """Raise InvalidArgument unless the sphere lattice has at least 12 points."""
+    """Raise InvalidArgument unless the sphere lattice has 12 points or more and fits."""
     if grid_resolution < 12:
         raise InvalidArgument("grid_resolution must be at least 12")
+    _check_memory(_LATTICE_POINT_BYTES * grid_resolution,
+                  f"a lattice of {grid_resolution} points needs",
+                  "lower the lattice size", InvalidArgument)
 
 
 def find_fixed_points(inp: FreefallInput, grid_resolution: int = 2000) -> FixedPointResult:

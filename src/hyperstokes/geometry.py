@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
@@ -42,11 +43,14 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+_NODE_BYTES = 100  # a node's position, weight and density, with their per-edge pieces
 _DIAMETER_CHUNK_PAIRS = 250_000
 _NEIGHBOR_CHUNK_PAIRS = 250_000
 _INVOLUTION_RTOL = 1e-12  # node positions match to this fraction of the cloud's radius
 _INVOLUTION_CANDIDATES = 64  # anchor images tried before giving up
 _INVOLUTION_SCREEN = 16  # about this many nodes checked before a candidate gets the full match
+# a unit vector normal to no difference of small-integer lattice points
+_SORT_DIRECTION = np.array([0.7548776662466928, 0.5698402909980533, 0.32471795724474606])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,38 +191,48 @@ def _edges(body: BodyGeometry):
 
 
 def _cloud_diameter(points: np.ndarray) -> float:
-    """Largest pairwise distance, over row chunks of about 250k pairs each."""
-    n = len(points)
+    """Largest pairwise distance, over row chunks of about 250k pairs each.
+
+    Squared differences are summed one contiguous coordinate row at a time,
+    x then y then z: the bits of a sum over a trailing axis of three, faster.
+    """
+    coords = np.asarray(points, dtype=float).T.copy()
+    n = coords.shape[1]
     chunk = max(1, _DIAMETER_CHUNK_PAIRS // n)
-    d2 = max(
-        np.sum((points[lo : lo + chunk, None, :] - points[None, :, :]) ** 2, axis=-1).max()
-        for lo in range(0, n, chunk)
-    )
+    d2 = 0.0
+    for lo in range(0, n, chunk):
+        block = np.zeros((min(chunk, n - lo), n))
+        for c in coords:
+            diff = c[lo:lo + chunk, None] - c
+            block += np.square(diff, out=diff)
+        d2 = max(d2, block.max())
     return float(np.sqrt(d2))
 
 
 def nearest_neighbors(points, queries, k: int = 1):
     """Exact k nearest ``points`` of each query: (distances, indices), each (m, k).
 
-    Rows are in ascending distance.  The points are sorted along their
-    widest coordinate, and each query first looks only at a window of 2h
-    points around its own place in that order.  Every point outside the
-    window is at least as far along the coordinate as the window's edges,
-    so the window's k nearest are the true ones when the k-th distance is
-    below that gap; the remaining queries try again with h doubled.  Work
-    proceeds in row chunks of at most about 250k query-point pairs, so the
-    memory does not grow with the number of points.
+    Rows are in ascending distance.  The points are sorted along a fixed
+    generic direction (on a coordinate, axis-aligned bodies tie by the
+    hundreds), and each query first looks only at a window of 2h points
+    around its own place in that order.  Every point outside the window is
+    at least as far along the direction as the window's edges, so the
+    window's k nearest are the true ones when the k-th distance is below
+    that gap less roundoff; the remaining queries try again with h doubled.
+    Work proceeds in row chunks of at most about 250k query-point pairs, so
+    the memory does not grow with the number of points.
     """
     points = np.asarray(points, dtype=float)
     queries = np.asarray(queries, dtype=float)
     n = len(points)
     if not 1 <= k <= n:
         raise InvalidArgument(f"cannot find {k} neighbors among {n} points")
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    order = np.argsort(points[:, axis], kind="stable")
+    proj = points @ _SORT_DIRECTION
+    order = np.argsort(proj, kind="stable")
     coords = points[order].T.copy()  # one contiguous row per coordinate
-    zs = coords[axis]
-    zq = queries[:, axis]
+    zs = proj[order]
+    zq = queries @ _SORT_DIRECTION
+    slack = 16 * np.finfo(float).eps * (np.abs(points).max() + np.abs(queries).max(initial=0.0))
     place = np.searchsorted(zs, zq)
     d2_out = np.empty((len(queries), k))
     idx_out = np.empty((len(queries), k), dtype=np.intp)
@@ -246,6 +260,7 @@ def nearest_neighbors(points, queries, k: int = 1):
                 np.where(start > 0, zq[q] - zs[np.maximum(start - 1, 0)], np.inf),
                 np.where(end < n, zs[np.minimum(end, n - 1)] - zq[q], np.inf),
             )
+            gap = np.maximum(gap - slack, 0.0)
             done = (near_d2[:, -1] < gap * gap) | (width == n)
             d2_out[q[done]] = near_d2[done]
             idx_out[q[done]] = start[done, None] + near[done]
@@ -255,32 +270,18 @@ def nearest_neighbors(points, queries, k: int = 1):
     return np.sqrt(d2_out), order[idx_out]
 
 
-def _frame(u: np.ndarray, v: np.ndarray, handedness: float = 1.0) -> np.ndarray:
-    """Rows e1 || u, e2 in the plane of u and v, e3 = handedness * e1 x e2."""
-    e1 = u / np.linalg.norm(u)
-    e2 = v - (v @ e1) * e1
-    e2 /= np.linalg.norm(e2)
-    return np.array([e1, e2, handedness * np.cross(e1, e2)])
-
-
-_SKEW = _frame(np.array([1.0, 0.618, 0.382]), np.array([0.2, 1.0, 0.7])).T
-
-
 def find_involution(nodes, weights) -> Involution | None:
     """A point-free affine involution of the weighted node set, or None.
 
-    The centre c is the weight centroid.  Q is pinned by two anchors: the
-    farthest node a from c and the node b farthest from the line through c
-    and a (ties go to the lowest index, so the anchors do not depend on
-    roundoff).  Each image a' of equal radius and weight, and each image b'
-    of equal radius, weight and dot product with a', gives a proper and an
-    improper candidate mapping the frame of (a, b) onto that of (a', b').
-    A candidate must be symmetric, then map a few screening nodes onto
-    other nodes of equal weight (O(N) each), and only then all of them:
+    The centre c is the weight centroid and the anchor a the node farthest
+    from it (the lowest index among ties, so roundoff does not move it).
+    For u = a - c and v = a' - c, a' any other node of equal radius and
+    weight, the symmetric orthogonal Q != I with Q u = v are the mirror with
+    normal u - v, the half-turn about u + v (the inversion if v = -u) and,
+    if v = -u, the half-turns about axes normal to u, which are not tried.
+    At most 64 candidates are tried, in index order of a'.  Each must map a
+    few screening nodes, then all of them, onto other nodes of equal weight:
     positions to 1e-12 of the cloud's radius, weights to 1e-12 relative.
-    Candidates are tried in index order and at most 64 of them, so the
-    choice is deterministic.  Collinear and odd-sized node sets have none
-    that this search can pin down.
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -289,54 +290,35 @@ def find_involution(nodes, weights) -> Involution | None:
         return None
     y = x - w @ x / w.sum()
     r = np.sqrt(np.einsum("ij,ij->i", y, y))
-    size = r.max()
-    tol = _INVOLUTION_RTOL * size
+    tol = _INVOLUTION_RTOL * r.max()
     wtol = _INVOLUTION_RTOL * w.max()
-    a = int(np.argmax(r >= size - tol))
-    lever = np.linalg.norm(np.cross(y[a] / r[a], y), axis=1)
-    if lever.max() <= tol:
-        return None
-    b = int(np.argmax(lever >= lever.max() - tol))
-    frame = _frame(y[a], y[b])
-    screen = np.arange(0, n, max(1, n // _INVOLUTION_SCREEN))
+    a = int(np.argmax(r >= r.max() - tol))
+    everyone = np.arange(n)
 
-    def like(k):
-        return (np.abs(r - r[k]) <= tol) & (np.abs(w - w[k]) <= wtol)
+    def images(q, rows):
+        """sigma on ``rows`` if q maps each onto another node of equal weight, else None."""
+        dist, idx = nearest_neighbors(y, y[rows] @ q)
+        sigma = idx[:, 0]
+        ok = (dist.max() <= tol and np.all(sigma != rows)
+              and np.abs(w[sigma] - w[rows]).max() <= wtol)
+        return sigma if ok else None
 
-    def passes_screen(q):
-        d2 = (((y[screen] @ q)[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
-        near = d2.argmin(axis=1)
-        return bool(np.all((d2[np.arange(len(screen)), near] <= tol * tol)
-                           & (near != screen) & (np.abs(w[near] - w[screen]) <= wtol)))
+    def candidates():
+        eye = np.eye(3)
+        for a2 in np.flatnonzero((np.abs(r - r[a]) <= tol) & (np.abs(w - w[a]) <= wtol)):
+            d, s = y[a] - y[a2], y[a] + y[a2]
+            if d @ d > tol * tol:  # neither a itself nor a node on top of it
+                yield eye - (2.0 / (d @ d)) * np.outer(d, d)
+                yield -eye if s @ s <= tol * tol else (2.0 / (s @ s)) * np.outer(s, s) - eye
 
-    like_b = like(b)
-    tried = 0
-    for a2 in np.flatnonzero(like(a)):
-        if a2 == a:
+    for q in islice(candidates(), _INVOLUTION_CANDIDATES):
+        if images(q, everyone[::max(1, n // _INVOLUTION_SCREEN)]) is None:
             continue
-        dots = np.abs(y @ y[a2] - y[a] @ y[b]) <= tol * size
-        for b2 in np.flatnonzero(like_b & dots):
-            if b2 in (a2, b):
-                continue
-            for handedness in (1.0, -1.0):
-                if tried == _INVOLUTION_CANDIDATES:
-                    return None
-                tried += 1
-                q = _frame(y[a2], y[b2], handedness).T @ frame
-                if np.abs(q - q.T).max() > 1e-9:  # an orthogonal involution is symmetric
-                    continue
-                q = 0.5 * (q + q.T)
-                if not passes_screen(q):
-                    continue
-                # in a skew frame, as axis-aligned bodies tie on the search's sort coordinate
-                dist, idx = nearest_neighbors(y @ _SKEW, y @ q @ _SKEW)
-                sigma = idx[:, 0]
-                if (dist.max() <= tol and np.all(sigma != np.arange(n))
-                        and np.array_equal(sigma[sigma], np.arange(n))
-                        and np.abs(w[sigma] - w).max() <= wtol):
-                    q.setflags(write=False)
-                    sigma.setflags(write=False)
-                    return Involution(Q=q, sigma=sigma)
+        sigma = images(q, everyone)
+        if sigma is not None and np.array_equal(sigma[sigma], everyone):
+            q.setflags(write=False)
+            sigma.setflags(write=False)
+            return Involution(Q=q, sigma=sigma)
     return None
 
 
@@ -446,17 +428,21 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     count.  Midpoint nodes avoid duplicated junction points where segments
     meet, so the kernel matrix never sees coincident nodes.  The node set is
     finally shifted so the density-weighted center of mass sits at the origin.
+    A node count whose arrays would not fit in memory is refused with
+    InvalidArgument before anything is allocated.
     """
+    from .mobility import _check_memory  # mobility imports this module
     if not (np.isfinite(resolution) and resolution > 0.0):
         raise InvalidArgument(f"resolution must be positive, got {resolution}")
     _warn_if_disconnected(body)
     mass = mass_properties(body)
-    nodes = []
-    weights = []
-    densities = []
-    for p0, p1, rho in _edges(body):
-        ell = float(np.linalg.norm(p1 - p0))
-        n = max(1, ceil(ell * resolution * (1.0 - 1e-12)))
+    edges = list(_edges(body))
+    lengths = [float(np.linalg.norm(p1 - p0)) for p0, p1, _ in edges]
+    counts = [max(1, ceil(ell * resolution * (1.0 - 1e-12))) for ell in lengths]
+    _check_memory(_NODE_BYTES * sum(counts), f"{sum(counts)} quadrature nodes need",
+                  "lower the resolution", InvalidArgument)
+    nodes, weights, densities = [], [], []
+    for (p0, p1, rho), ell, n in zip(edges, lengths, counts):
         t = (np.arange(n) + 0.5) / n
         nodes.append(p0 + t[:, None] * (p1 - p0))
         weights.append(np.full(n, ell / n))

@@ -145,25 +145,27 @@ def _column_blocks(n: int, count: int = 1) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
+def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError) -> None:
+    """Raise ``error`` if ``need`` bytes exceed physical memory or, where the
+    system reports it, the memory available now."""
+    for what, have in (("physical memory", _physical_memory_bytes()),
+                       ("memory available now", _available_memory_bytes())):
+        if have is not None and need > have:
+            raise error(f"{what_needs} {need / 2**30:.3g} GiB, more than the "
+                        f"{have / 2**30:.3g} GiB of {what}; {advice}")
+
+
 def _empty_matrix(m: int, count: int) -> np.ndarray:
     """Uninitialized Fortran-order (m, m, count) array: ``count`` square matrices.
 
-    Each ``[:, :, t]`` is a Fortran-order matrix of its own.  Refused if the
-    8 m^2 count bytes exceed physical memory or the memory available now
-    (when the system reports it), so that a matrix the operating system
-    would kill the process for ends in a clean AssemblyError instead.
+    Each ``[:, :, t]`` is a Fortran-order matrix of its own.  Its 8 m^2 count
+    bytes are checked by :func:`_check_memory` first, so that a matrix the
+    operating system would kill the process for ends in an AssemblyError.
     """
-    need = 8 * m * m * count
-    what_needs = (f"the {m} x {m} kernel matrix needs" if count == 1
-                  else f"the {count} kernel matrix blocks of {m} x {m} need")
-    limits = [("physical memory", _physical_memory_bytes()),
-              ("memory available now", _available_memory_bytes())]
-    for what, have in limits:
-        if have is not None and need > have:
-            raise AssemblyError(
-                f"{what_needs} {need / 2**30:.1f} GiB, more than the "
-                f"{have / 2**30:.1f} GiB of {what}; lower the resolution"
-            )
+    _check_memory(8 * m * m * count,
+                  f"the {m} x {m} kernel matrix needs" if count == 1
+                  else f"the {count} kernel matrix blocks of {m} x {m} need",
+                  "lower the resolution")
     return np.empty((m, m, count), order="F")
 
 

@@ -428,11 +428,22 @@ class TestErrorSlugs:
     def test_matrix_larger_than_memory_fails_assembly(self, runner, rod_file, monkeypatch):
         import hyperstokes.mobility as mob
 
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 1 << 10)
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 1 << 16)
         result = runner.invoke(main, ["resistance", rod_file, "--resolution", "64"])
         assert result.exit_code == 2
         assert result.stderr.startswith("error[assembly]")
         assert "physical memory" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["fall-sim", "--g0", "0", "0", "1", "--dt", "1e-12", "--t-end", "10"],  # 72.8 TiB
+        ["fixed-points", "--grid", "100000000000"],  # 745 GiB
+        ["resistance", "--resolution", "1e15"],  # 3.55 PiB of nodes
+    ])
+    def test_argument_larger_than_memory_rejected(self, runner, octa_file, args):
+        result = runner.invoke(main, [args[0], octa_file, *args[1:]])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[invalid-argument]")
+        assert "physical memory" in result.stderr or "memory available now" in result.stderr
 
     @pytest.mark.parametrize("args", [
         ["fixed-points", "--grid", "200"],

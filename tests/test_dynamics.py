@@ -119,6 +119,19 @@ class TestIntegrateOrientation:
         with pytest.raises(InvalidArgument):
             integrate_orientation(inp, np.array([1.0, 0.0, 0.0]), 1e-2, 0.0)
 
+    def test_trajectory_larger_than_memory_rejected(self, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        inp = spinny_input()
+        g0 = np.array([1.0, 0.0, 0.0])
+        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 80 * 101)
+        assert integrate_orientation(inp, g0, 0.01, 1.0).t.shape == (101,)
+        with pytest.raises(InvalidArgument, match="physical memory"):
+            integrate_orientation(inp, g0, 0.01, 1.01)
+        with pytest.raises(InvalidArgument):  # the step count overflows a float
+            integrate_orientation(inp, g0, 5e-324, 1e300)
+
 
 class TestFindFixedPoints:
     def test_decoupled_body_all_orientations(self, suite_solutions):
@@ -170,6 +183,15 @@ class TestFindFixedPoints:
     def test_grid_validation(self):
         with pytest.raises(InvalidArgument):
             find_fixed_points(spinny_input(), 4)
+
+    def test_lattice_larger_than_memory_rejected(self, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 200 * 500)
+        assert find_fixed_points(spinny_input(), 500).points
+        with pytest.raises(InvalidArgument, match="physical memory"):
+            find_fixed_points(spinny_input(), 501)
 
 
 class TestStableOrder:

@@ -145,6 +145,15 @@ class TestDiscretize:
         with pytest.raises(InvalidArgument):
             discretize(rod(1.0), -3)
 
+    def test_nodes_larger_than_memory_rejected(self, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 100 * 8)
+        assert discretize(rod(1.0), 8).n_nodes == 8
+        with pytest.raises(InvalidArgument, match="physical memory"):
+            discretize(rod(1.0), 9)
+
     def test_second_moment_second_order_convergence(self):
         # the scalar second moment integral has a closed form per edge;
         # midpoint quadrature converges at second order towards it
@@ -196,6 +205,23 @@ class TestNearestNeighbors:
             assert np.array_equal(idx, ref_idx)
             assert np.array_equal(dist, ref_dist)
 
+    def test_no_wide_window_on_axis_aligned_body(self, bodies, monkeypatch):
+        # whole edges of the octahedron lie in coordinate planes, so hundreds
+        # of its nodes share each coordinate value
+        nodes = discretize(bodies["octahedron"], 128).nodes
+        c4 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        widths = []
+        partition = np.argpartition
+
+        def spy(a, kth, axis=-1, **kwargs):
+            widths.append(a.shape[axis])
+            return partition(a, kth, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np, "argpartition", spy)
+        dist, idx = geometry.nearest_neighbors(nodes, nodes @ c4.T)
+        assert dist.max() <= 1e-12 * np.abs(nodes).max()
+        assert max(widths) <= 64
+
     def test_more_neighbors_than_points_rejected(self):
         with pytest.raises(InvalidArgument):
             geometry.nearest_neighbors(np.zeros((2, 3)), np.zeros((1, 3)), k=3)
@@ -229,12 +255,20 @@ class TestFindInvolution:
         assert dbody.involution is inv  # found once per body
         self._check(inv, dbody.nodes, dbody.weights)
 
-    @pytest.mark.parametrize("name", ["rod", "tripod"])
     @pytest.mark.parametrize("resolution", [8, 16, 64])
-    def test_none_for_collinear_rod_and_tripod(self, bodies, rng, name, resolution):
+    def test_none_for_tripod(self, bodies, rng, resolution):
+        # its mirrors each hold a leg, and its rotations are of order 3
         for q in (np.eye(3), _random_rotation(rng)):
-            dbody = discretize(transform(bodies[name], q), resolution)
+            dbody = discretize(transform(bodies["tripod"], q), resolution)
             assert dbody.involution is None
+
+    @pytest.mark.parametrize("resolution", [8, 16, 64])
+    def test_found_for_rod_at_even_n(self, bodies, rng, resolution):
+        # collinear: the mirror through its midpoint swaps the two halves
+        for q in (np.eye(3), _random_rotation(rng)):
+            dbody = discretize(transform(bodies["rod"], q), resolution)
+            assert dbody.n_nodes % 2 == 0
+            self._check(dbody.involution, dbody.nodes, dbody.weights)
 
     def test_none_for_helix_with_one_vertex_moved(self, bodies):
         points = bodies["helix"].segments[0].points.copy()
@@ -259,7 +293,7 @@ class TestFindInvolution:
         assert geometry.find_involution(discretize(helix(0.2, 0.1, 3), 16).nodes,
                                         weights) is None
 
-    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
+    @pytest.mark.parametrize("name", ["rod", "bent_rod", "octahedron", "helix"])
     def test_deterministic_under_rotation(self, bodies, rng, name):
         ref = discretize(bodies[name], 16).involution
         for _ in range(4):
@@ -271,17 +305,17 @@ class TestFindInvolution:
     @pytest.mark.parametrize("name, full_matches", [("tripod", 0), ("helix", 1)])
     def test_rejected_candidates_skip_the_full_match(self, bodies, monkeypatch,
                                                      name, full_matches):
-        calls = []
+        sizes = []
         search = geometry.nearest_neighbors
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
+        def counting(points, queries, k=1):
+            sizes.append(len(queries))
+            return search(points, queries, k)
 
         monkeypatch.setattr(geometry, "nearest_neighbors", counting)
         dbody = discretize(bodies[name], 64)
         assert (dbody.involution is None) == (full_matches == 0)
-        assert len(calls) == full_matches
+        assert sizes.count(dbody.n_nodes) == full_matches
 
 
 class TestTransform:

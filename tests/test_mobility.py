@@ -589,8 +589,8 @@ class TestSplitSolve:
             assert err <= 1e-13, (ell, resolution, err)
             if not split:
                 assert np.array_equal(a, ref)
-        # the rod (collinear) and the tripod (its mirrors hold a leg) keep the dense path
-        assert all(split for *_, split, _ in cases) == (name not in ("rod", "tripod"))
+        # only the tripod (its mirrors hold a leg) keeps the dense path
+        assert all(split for *_, split, _ in cases) == (name != "tripod")
 
 
 class TestFailedFactorization:
