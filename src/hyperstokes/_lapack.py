@@ -9,8 +9,9 @@ symbols is missing (other wheel layouts, MKL, a system BLAS), the same
 routines come from ``scipy.linalg.lapack``, imported only then.  The two
 sources differ only in :func:`_load`.
 
-Matrices are Fortran-order float64 and only their lower triangle is read or
-written.
+Matrices are Fortran-order float64, and only the triangle named by ``lower``
+(the lower one by default) is read or written, so two triangles may share
+one array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 __all__ = ["cho_factor", "cho_solve", "pocon", "SOURCE"]
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
-_LOWER = b"L"
 _ALIGN = 64  # bytes; pocon's work arrays always start on this boundary
 
 
@@ -58,22 +58,25 @@ def _from_numpy_openblas():
     for fn in (potrf_c, potrs_c, pocon_c):
         fn.restype = i64
 
-    def potrf(a):
-        n = a.shape[0]
-        return potrf_c(_COL_MAJOR, _LOWER, n, a.ctypes.data, max(n, 1))
+    def uplo(lower):
+        return b"L" if lower else b"U"
 
-    def potrs(c, b):
+    def potrf(a, lower):
+        n = a.shape[0]
+        return potrf_c(_COL_MAJOR, uplo(lower), n, a.ctypes.data, max(n, 1))
+
+    def potrs(c, b, lower):
         n = c.shape[0]
         nrhs = 1 if b.ndim == 1 else b.shape[1]
-        return potrs_c(_COL_MAJOR, _LOWER, n, nrhs, c.ctypes.data, max(n, 1),
+        return potrs_c(_COL_MAJOR, uplo(lower), n, nrhs, c.ctypes.data, max(n, 1),
                        b.ctypes.data, max(n, 1))
 
-    def pocon(c, anorm):
+    def pocon(c, anorm, lower):
         n = c.shape[0]
         rcond = ctypes.c_double()
         work = _aligned_empty(3 * n, np.float64)
         iwork = _aligned_empty(n, np.int64)
-        info = pocon_c(_COL_MAJOR, _LOWER, n, c.ctypes.data, max(n, 1), anorm,
+        info = pocon_c(_COL_MAJOR, uplo(lower), n, c.ctypes.data, max(n, 1), anorm,
                        ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data)
         return rcond.value, info
 
@@ -84,20 +87,21 @@ def _from_scipy():
     """(potrf, potrs, pocon) from ``scipy.linalg.lapack``, with the same conventions."""
     from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
-    def potrf(a):
-        c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    def potrf(a, lower):
+        # clean=0: the other triangle may hold another matrix
+        c, info = dpotrf(a, lower=int(lower), clean=0, overwrite_a=1)
         if c is not a:  # f2py copied instead of factoring in place
             a[...] = c
         return info
 
-    def potrs(c, b):
-        x, info = dpotrs(c, b, lower=1, overwrite_b=1)
+    def potrs(c, b, lower):
+        x, info = dpotrs(c, b, lower=int(lower), overwrite_b=1)
         if x is not b:
             b[...] = x
         return info
 
-    def pocon(c, anorm):
-        rcond, info = dpocon(c, anorm, uplo="L")
+    def pocon(c, anorm, lower):
+        rcond, info = dpocon(c, anorm, uplo="L" if lower else "U")
         return float(rcond), info
 
     return potrf, potrs, pocon
@@ -125,15 +129,16 @@ def _check_info(info: int, routine: str) -> None:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
+def cho_factor(a: np.ndarray, lower: bool = True) -> np.ndarray:
     """Overwrite the lower triangle of ``a`` with its Cholesky factor L; return ``a``.
 
-    The strict upper triangle is neither read nor written.  Raises
-    ``numpy.linalg.LinAlgError`` when ``a`` is not positive definite (its
-    lower triangle is then partly overwritten).
+    With ``lower=False`` the upper triangle holds the matrix and gets the
+    factor U = L^T instead.  The other strict triangle is neither read nor
+    written.  Raises ``numpy.linalg.LinAlgError`` when ``a`` is not positive
+    definite (its triangle is then partly overwritten).
     """
     _check_factor(a)
-    info = _potrf(a)
+    info = _potrf(a, lower)
     _check_info(info, "potrf")
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -142,19 +147,25 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L L^T x = b, for the factor L of :func:`cho_factor` and b of shape (n,) or (n, k)."""
+def cho_solve(c: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
+    """x with L L^T x = b, for the factor L of :func:`cho_factor` and b of shape (n,) or (n, k).
+
+    ``lower`` names the triangle that holds the factor, as in :func:`cho_factor`.
+    """
     _check_factor(c)
     x = np.array(b, dtype=np.float64, order="F")
     if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
         raise ValueError(f"right-hand side of shape {np.shape(b)} for a matrix of order {len(c)}")
-    _check_info(_potrs(c, x), "potrs")
+    _check_info(_potrs(c, x, lower), "potrs")
     return x
 
 
-def pocon(c: np.ndarray, anorm: float) -> float:
-    """LAPACK's estimate of 1 / cond_1(L L^T), given L and the 1-norm of L L^T."""
+def pocon(c: np.ndarray, anorm: float, lower: bool = True) -> float:
+    """LAPACK's estimate of 1 / cond_1(L L^T), given L and the 1-norm of L L^T.
+
+    ``lower`` names the triangle that holds the factor, as in :func:`cho_factor`.
+    """
     _check_factor(c)
-    rcond, info = _pocon(c, float(anorm))
+    rcond, info = _pocon(c, float(anorm), lower)
     _check_info(info, "pocon")
     return rcond

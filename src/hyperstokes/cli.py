@@ -26,11 +26,12 @@ from .kernel import (
     stokeslet_pressure,
     stokeslet_velocity,
 )
-from .serialize import Rounded, csv_text, json_text, load_body
+from .serialize import Rounded, csv_lines, csv_text, json_text, load_body
 
 DEFAULT_ELL = 0.1
 DEFAULT_RESOLUTION = 16.0
 DEFAULT_CONDITION_CEILING = 1e12
+_CSV_CHUNK_ROWS = 1024  # fall-sim rows converted to Python floats at a time
 
 
 class _Cli(click.Group):
@@ -343,12 +344,15 @@ def fall_sim(file, ell, resolution, max_condition, force, g0, dt, t_end):
     dbody, res = _solve(b, cfg)
     inp = freefall.FreefallInput.from_body(dbody, res)
     traj = dynamics.integrate_orientation(inp, g_start / norm, dt, t_end)
-    rows = [
-        [traj.t[k], *traj.G[k], *traj.xi[k], *traj.omega[k]]
-        for k in range(len(traj.t))
-    ]
     header = ["t", "G1", "G2", "G3", "xi1", "xi2", "xi3", "omega1", "omega2", "omega3"]
-    click.echo(csv_text(header, rows), nl=False)
+    columns = (traj.t[:, None], traj.G, traj.xi, traj.omega)
+    # written as it is formatted, a few rows at a time: the text of a long
+    # trajectory is many times the size of its arrays
+    rows = (row for lo in range(0, len(traj.t), _CSV_CHUNK_ROWS)
+            for row in np.hstack([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]).tolist())
+    out = click.get_text_stream("stdout")
+    out.writelines(csv_lines(header, rows))
+    out.flush()
 
 
 @main.command("fixed-points")

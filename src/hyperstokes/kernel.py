@@ -121,12 +121,33 @@ def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _factors_closed(s: np.ndarray):
-    """Bracket factors (D, Y) for s bounded away from 0."""
-    e = np.exp(-s)
-    one_minus_e = -np.expm1(-s)
-    inv = 1.0 / s
-    ident = 1.0 - 2.0 * e - 2.0 * inv * e + 2.0 * inv * inv * one_minus_e
-    dyad = 1.0 + 2.0 * e + 6.0 * inv * e - 6.0 * inv * inv * one_minus_e
+    """Bracket factors (D, Y) for s bounded away from 0.
+
+    Evaluates D = 1 - 2 e - (2/s) e + (2/s)(1/s)(1 - e) and
+    Y = 1 + 2 e + (6/s) e - (6/s)(1/s)(1 - e), e = exp(-s), term by term
+    from left to right, in place in a few arrays of the size of s.
+    """
+    e = np.negative(s)
+    one_minus_e = np.expm1(e)
+    np.negative(one_minus_e, out=one_minus_e)
+    np.exp(e, out=e)
+    inv = np.divide(1.0, s)
+    coef = np.multiply(2.0, inv)
+    tmp = np.multiply(2.0, e)
+    ident = np.subtract(1.0, tmp)
+    np.multiply(coef, e, out=tmp)
+    ident -= tmp
+    np.multiply(coef, inv, out=tmp)
+    tmp *= one_minus_e
+    ident += tmp
+    np.multiply(6.0, inv, out=coef)
+    dyad = np.multiply(2.0, e)
+    np.add(1.0, dyad, out=dyad)
+    np.multiply(coef, e, out=tmp)
+    dyad += tmp
+    np.multiply(coef, inv, out=tmp)
+    tmp *= one_minus_e
+    dyad -= tmp
     return ident, dyad
 
 
@@ -137,9 +158,19 @@ def _factors_over_s_series(s: np.ndarray, terms: int):
 
 
 def _factors_over_s(s: np.ndarray, kernel: HyperKernel):
-    """(D(s)/s, Y(s)/s) with automatic branch selection."""
+    """(D(s)/s, Y(s)/s) with automatic branch selection.
+
+    When no entry takes the series branch, the closed form runs on the
+    whole array and is divided in place, with no gather or scatter.
+    """
     s = np.asarray(s, dtype=float)
     small = s < kernel.series_threshold
+    if not small.any():
+        flat = s.reshape(-1)  # at least 1-d, so that the in-place steps get arrays
+        dr, yr = _factors_closed(flat)
+        dr /= flat
+        yr /= flat
+        return dr.reshape(s.shape), yr.reshape(s.shape)
     dr = np.empty_like(s)
     yr = np.empty_like(s)
     if np.any(~small):

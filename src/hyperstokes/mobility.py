@@ -21,7 +21,9 @@ commutes with P_sigma (x) Q.  In the orthonormal basis
 (e_k (x) v +- e_sigma(k) (x) Q v) / sqrt(2) over the representatives
 k < sigma(k) it splits into two blocks Mt+ and Mt- of half the size, with
 3x3 blocks Mt_kl +- Mt_k,sigma(l) Q, which are filled and factored instead
-of Mt: a quarter of the factorization work and half the memory.
+of Mt: a quarter of the factorization work.  Each block is stored as one
+triangle, and the two triangles share one (m, m + 1) array, a quarter of
+the memory of Mt.
 
 Sign conventions: f is the force per unit length exerted by the body on the
 fluid, so the hydrodynamic force and torque on the body are
@@ -70,10 +72,11 @@ class KernelMatrix:
 
     Only the Cholesky factors of the symmetrized system W^{1/2} M W^{1/2}
     are kept (:func:`symmetrized_matrix` returns the system itself):
-    ``_factor`` is ``(L,)``, or ``(L+, L-)`` of its two blocks when
-    ``_split = (Q, representatives, images)`` of the body's involution is
-    set.  ``condition`` is a LAPACK 1-norm estimate for the block-diagonal
-    system that was factored.
+    ``_factor`` holds one ``(factor, lower)`` pair per block, as
+    :func:`_triangles` gives them: one, or two for the blocks Mt+ and Mt-
+    when ``_split = (Q, representatives, images)`` of the body's involution
+    is set.  ``condition`` is a LAPACK 1-norm estimate for the
+    block-diagonal system that was factored.
     """
 
     body: DiscretizedBody
@@ -98,15 +101,17 @@ class KernelMatrix:
         if not np.all(np.isfinite(u)):
             raise InvalidArgument("non-finite boundary data")
         sw = self._sqrt_w if u.ndim == 1 else self._sqrt_w[:, None]
-        # potrs reads only the lower triangle; the upper one was never written
+        # potrs reads only the factor's own triangle
         if self._split is None:
-            return cho_solve(self._factor[0], sw * u) / sw
+            (c, lower), = self._factor
+            return cho_solve(c, sw * u, lower) / sw
         q, reps, images = self._split
         y = (sw * u).reshape(len(sw) // 3, 3, -1)
         own = 0.5 * y[reps]
         mirrored = q @ (0.5 * y[images])
-        plus, minus = (cho_solve(c, rhs.reshape(-1, y.shape[2])).reshape(own.shape)
-                       for c, rhs in zip(self._factor, (own + mirrored, own - mirrored)))
+        plus, minus = (cho_solve(c, rhs.reshape(-1, y.shape[2]), lower).reshape(own.shape)
+                       for (c, lower), rhs in zip(self._factor,
+                                                  (own + mirrored, own - mirrored)))
         y[reps] = plus + minus
         y[images] = q @ (plus - minus)
         return y.reshape(u.shape) / sw
@@ -156,17 +161,37 @@ def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError
 
 
 def _empty_matrix(m: int, count: int) -> np.ndarray:
-    """Uninitialized Fortran-order (m, m, count) array: ``count`` square matrices.
+    """Uninitialized Fortran-order storage for ``count`` (1 or 2) symmetric matrices of order m.
 
-    Each ``[:, :, t]`` is a Fortran-order matrix of its own.  Its 8 m^2 count
-    bytes are checked by :func:`_check_memory` first, so that a matrix the
-    operating system would kill the process for ends in an AssemblyError.
+    One matrix gets an (m, m) array; two share one (m, m + 1) array, one
+    triangle each (see :func:`_triangles`), the idea of LAPACK's rectangular
+    full packed format (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS
+    37(2), 2010).  The 8 m (m + count - 1) bytes are checked by
+    :func:`_check_memory` first, so that a matrix the operating system would
+    kill the process for ends in an AssemblyError.
     """
-    _check_memory(8 * m * m * count,
+    cols = m + count - 1
+    _check_memory(8 * m * cols,
                   f"the {m} x {m} kernel matrix needs" if count == 1
-                  else f"the {count} kernel matrix blocks of {m} x {m} need",
+                  else f"the {count} kernel matrix blocks of order {m} need",
                   "lower the resolution")
-    return np.empty((m, m, count), order="F")
+    return np.empty((m, cols), order="F")
+
+
+def _triangles(mt: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+    """The ``(matrix, lower)`` views of the blocks stored in ``mt`` by :func:`_empty_matrix`.
+
+    Each view is a Fortran-order (m, m) matrix with leading dimension m that
+    keeps its block in the lower triangle when ``lower`` is set, else in the
+    upper one.  In an (m, m + 1) array the first block is the lower triangle
+    of ``mt[:, :m]`` and the second the upper triangle of ``mt[:, 1:]``, its
+    element (r, c), r >= c, at ``mt[c, r + 1]``: the two are disjoint and
+    fill the array.
+    """
+    m = mt.shape[0]
+    if mt.shape[1] == m:
+        return [(mt, True)]
+    return [(mt[:, :m], True), (mt[:, 1:], False)]
 
 
 def _split_nodes(involution) -> tuple | None:
@@ -180,34 +205,37 @@ def _split_nodes(involution) -> tuple | None:
 
 def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
                 split: tuple | None = None) -> list[float]:
-    """Fill the lower block triangles of W^{1/2} M W^{1/2} or its two split blocks.
+    """Fill the lower triangle of W^{1/2} M W^{1/2} or the triangles of its two split blocks.
 
-    With ``split = None``, ``mt[:, :, 0]`` gets the (3N, 3N) matrix; with
-    ``split = (Q, reps, images)`` from :func:`_split_nodes`, ``mt[:, :, 0]``
-    and ``mt[:, :, 1]`` get the blocks Mt+ and Mt- over the representatives.
-    Returns the 1-norm of each.
+    With ``split = None``, ``mt`` from ``_empty_matrix(3N, 1)`` gets the
+    (3N, 3N) matrix; with ``split = (Q, reps, images)`` from
+    :func:`_split_nodes`, ``mt`` from ``_empty_matrix(3n, 2)`` gets the
+    blocks Mt+ and Mt- over the n representatives, in the triangles that
+    :func:`_triangles` names.  Returns the 1-norm of each block.
 
-    Column block [lo, hi) of the (representative) nodes gets rows lo:n, so
-    only the blocks (k, l) with k >= l, plus the upper halves of the
-    diagonal square blocks, are written; the rest of ``mt`` is left as it
-    was.  Block (k, l) is sqrt(w_k w_l) Z(d), d = x_k - x_l, filled from the
-    two scalars a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as
-    b d_i d_j + a delta_ij (times sqrt(w_k w_l) / (8 pi ell)).  A split adds
-    the cross term sqrt(w_k w_l) Z(d') Q, d' = x_k - x_sigma(l), with entries
-    b' d'_i (Q d')_j + a' Q_ij, to the block of Mt+ and subtracts it from
-    that of Mt-.
+    Column block [lo, hi) of the (representative) nodes gets rows lo:n, and
+    only the elements on or below the diagonal are written; the rest of
+    ``mt`` is left as it was.  The rows below the block's own 3x3-block
+    square go straight into ``mt``; the square is filled whole in a small
+    temporary, of which only the lower triangle is copied.  Block (k, l) is
+    sqrt(w_k w_l) Z(d), d = x_k - x_l, filled from the two scalars
+    a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as b d_i d_j + a delta_ij
+    (times sqrt(w_k w_l) / (8 pi ell)).  A split adds the cross term
+    C = sqrt(w_k w_l) Z(d') Q, d' = x_k - x_sigma(l), with entries
+    b' d'_i (Q d')_j + a' Q_ij, and writes Mt+- = D +- C in one step each.
 
     The column blocks run on a thread pool (numpy releases the GIL in the
-    ufuncs) and write disjoint columns; with one block or one usable CPU the
-    calling thread fills them itself.  Each returns its minimum node
-    spacing, its largest distance and the absolute sums of its columns and
-    of its rows below the diagonal block; the calling thread combines them
-    in block order, so the result does not depend on thread timing.  By
-    symmetry a row sum below the diagonal block is the sum over the
-    unfilled part of a later column, so the combined sums are the column
-    sums of the full symmetric matrix and their maximum is its 1-norm.  The
-    direct and cross pairs of a split together cover every pair of nodes,
-    so the spacing and distance checks see all of them.
+    ufuncs) and write disjoint elements; with one block or one usable CPU
+    the calling thread fills them itself.  Each returns its minimum node
+    spacing, its largest distance and the absolute sums of its columns (of
+    the whole square and the rows below it) and of its rows below the
+    square; the calling thread combines them in block order, so the result
+    does not depend on thread timing.  By symmetry a row sum below the
+    square is the sum over the unfilled part of a later column, so the
+    combined sums are the column sums of the full symmetric matrix and their
+    maximum is its 1-norm.  The direct and cross pairs of a split together
+    cover every pair of nodes, so the spacing and distance checks see all
+    of them.
 
     Raises AssemblyError for (near-)coincident nodes and for a non-finite
     entry (which makes its column sum, hence the norm, non-finite).
@@ -218,76 +246,94 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
         q, reps, images = split
         x, w, partners = x[reps], w[reps], x[images]
     n = len(x)
-    targets = range(mt.shape[2])
-    blocks = [mt[:, :, t].T.reshape(n, 3, n, 3) for t in targets]  # [l, j, k, i] = [3k+i, 3l+j]
+    xt = np.ascontiguousarray(x.T)
+    # element (r, c), r >= c, of block t is lowers[t][r, c]
+    lowers = [view if lower else view.T for view, lower in _triangles(mt)]
+    blocks = [low.reshape(n, 3, n, 3) for low in lowers]  # [k, i, l, j] = [3k+i, 3l+j]
     scale = 1.0 / (8.0 * pi * kernel.ell)
 
     def pair_factors(d, lo, hi):
-        """Distances of the pairs with separations d and their scaled factors a, b."""
-        r2 = (d * d).sum(axis=-1)
+        """Distances of the pairs with separations d (components first) and
+        their scaled factors a, b."""
+        r2 = d[0] * d[0]
+        r2 += d[1] * d[1]
+        r2 += d[2] * d[2]
         r = np.sqrt(r2)
         a, b = _factors_over_s(r / kernel.ell, kernel)
-        c = np.sqrt(w[lo:hi, None] * w[None, lo:]) * scale
+        c = np.sqrt(w[None, lo:hi] * w[lo:, None]) * scale
         a *= c
         b *= c
         b /= np.where(r2 > 0.0, r2, 1.0)  # d = 0 only on the diagonal, where b = 0
         return r, a, b
 
     def write(lo, hi):
-        """Fill column block [lo, hi); return its minimum spacing and largest distance."""
-        d = x[lo:hi, None, :] - x[None, lo:, :]
+        """Fill column block [lo, hi); return its minimum spacing, largest
+        distance and the whole squares of its blocks (Fortran order)."""
+        c = hi - lo
+        # components first, so that the arithmetic below reads contiguous arrays
+        d = xt[:, None, lo:hi] - xt[:, lo:, None]  # [i, k, l], k in lo:n, l in lo:hi
         r, a, b = pair_factors(d, lo, hi)
         diam = r.max()
-        own = r[:, : hi - lo]
-        np.fill_diagonal(own, np.inf)
+        np.fill_diagonal(r[:c], np.inf)
         spacing = r.min()
+        if split is not None:
+            dx = x[lo:, None, :] - partners[None, lo:hi, :]
+            # Q d' on rows of 3-vectors: BLAS rounds a components-first product differently
+            qdx = np.moveaxis(dx @ q, -1, 0).copy()
+            dx = np.moveaxis(dx, -1, 0).copy()
+            rx, ax, bx = pair_factors(dx, lo, hi)
+            spacing, diam = min(spacing, rx.min()), max(diam, rx.max())
+            del rx
+        del r
+        squares = [np.empty((3 * c, 3 * c), order="F") for _ in lowers]
+        own = [sq.reshape(c, 3, c, 3) for sq in squares]  # [k, i, l, j] as in blocks
+
+        def emit(t, i, j, op, *values):
+            """Write op(*values), component (i, j) of block t's pairs."""
+            op(*(v[:c] for v in values), out=own[t][:, i, :, j])
+            op(*(v[c:] for v in values), out=blocks[t][hi:, i, lo:hi, j])
+
         for i in range(3):
             for j in range(i, 3):
-                comp = b * (d[..., i] * d[..., j])
+                comp = b * (d[i] * d[j])
                 if i == j:
                     comp += a
-                for target in blocks:
-                    target[lo:hi, j, lo:, i] = comp
-                    if i != j:
-                        target[lo:hi, i, lo:, j] = comp
-        if split is None:
-            return spacing, diam
-        # the cross term, once the direct one's temporaries are freed
-        del d, r, own, a, b, comp
-        d = x[None, lo:, :] - partners[lo:hi, None, :]
-        r, a, b = pair_factors(d, lo, hi)
-        qd = d @ q
-        for i in range(3):
-            for j in range(3):
-                cross = b * (d[..., i] * qd[..., j])
-                cross += a * q[i, j]
-                plus = blocks[0][lo:hi, j, lo:, i]
-                plus += cross
-                minus = blocks[1][lo:hi, j, lo:, i]
-                minus -= cross
-        return min(spacing, r.min()), max(diam, r.max())
+                for p, s in ((i, j), (j, i)) if i != j else ((i, j),):
+                    if split is None:
+                        emit(0, p, s, np.positive, comp)  # np.positive copies
+                        continue
+                    cross = bx * (dx[p] * qdx[s])
+                    cross += ax * q[p, s]
+                    emit(0, p, s, np.add, comp, cross)
+                    emit(1, p, s, np.subtract, comp, cross)
+        on_or_below = np.tri(3 * c, dtype=bool)
+        for low, sq in zip(lowers, squares):
+            np.copyto(low[3 * lo:3 * hi, 3 * lo:3 * hi], sq, where=on_or_below)
+        return spacing, diam, squares
 
     def fill(bounds):
         lo, hi = bounds
-        spacing, diam = write(lo, hi)
+        spacing, diam, squares = write(lo, hi)
         sums = []
-        for t in targets:
-            filled = np.abs(mt[3 * lo:, 3 * lo:3 * hi, t])
-            sums.append((filled.sum(axis=0), filled[3 * (hi - lo):].sum(axis=1)))
+        for low, sq in zip(lowers, squares):
+            filled = np.empty((3 * (n - lo), len(sq)), order="F")
+            np.abs(sq, out=filled[:len(sq)])
+            np.abs(low[3 * hi:, 3 * lo:3 * hi], out=filled[len(sq):])
+            sums.append((filled.sum(axis=0), filled[len(sq):].sum(axis=1)))
             del filled
         return spacing, diam, sums
 
-    bounds = _column_blocks(n, len(targets))
+    bounds = _column_blocks(n, len(lowers))
     spacing = np.inf
     diam = 0.0
-    col_sums = np.zeros((len(targets), 3 * n))
+    col_sums = np.zeros((len(lowers), 3 * n))
     workers = min(_usable_cpus(), len(bounds))
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         filled = pool.map(fill, bounds) if pool is not None else map(fill, bounds)
         for (lo, hi), (sp, dm, sums) in zip(bounds, filled):
             spacing = min(spacing, sp)
             diam = max(diam, dm)
-            for t, (own_cols, rows_below) in zip(targets, sums):
+            for t, (own_cols, rows_below) in enumerate(sums):
                 col_sums[t, 3 * lo:3 * hi] += own_cols
                 col_sums[t, 3 * hi:] += rows_below
     if spacing < 1e-12 * max(diam, 1e-300):
@@ -301,11 +347,9 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
 def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarray:
     """The symmetrized system W^{1/2} M W^{1/2} as a Fortran-order (3N, 3N) array.
 
-    The full matrix, for tests and inspection: the lower block triangle of
-    the unsplit fill, mirrored into the upper one.  Swapping k and l only
-    flips the sign of d, and each of the six distinct components of a
-    block is computed once and written to both (i, j) and (j, i), so the
-    matrix equals its transpose bit for bit.
+    The full matrix, for tests and inspection: the lower triangle of the
+    unsplit fill, mirrored into the upper one, so it equals its transpose
+    bit for bit.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory.
@@ -313,8 +357,9 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
     n = dbody.n_nodes
     mt = _empty_matrix(3 * n, 1)
     _fill_lower(mt, dbody, kernel)
-    mt = mt[:, :, 0]
     for lo, hi in _column_blocks(n):
+        square = mt[3 * lo:3 * hi, 3 * lo:3 * hi]
+        square[...] = np.where(np.tri(len(square), dtype=bool), square, square.T)
         mt[3 * lo:3 * hi, 3 * hi:] = mt[3 * hi:, 3 * lo:3 * hi].T
     return mt
 
@@ -325,10 +370,12 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     Only the lower triangle is computed, checked and factored; the 1-norm
     for the condition estimate and the finiteness check come from the fill.
     A body with a point-free involution gets the two half-size blocks of
-    its split instead of the (3N, 3N) matrix.  The bytes to be allocated
-    are checked against physical and available memory first.  ``condition``
-    is the 1-norm estimate max_t |Mt_t| * max_t 1 / (rcond_t |Mt_t|) of the
-    block-diagonal system; with one block, 1 / rcond.
+    its split instead of the (3N, 3N) matrix, in one (m, m + 1) array; the
+    second is factored as U^T U in the upper triangle of its view.  The
+    bytes to be allocated are checked against physical and available memory
+    first.  ``condition`` is the 1-norm estimate
+    max_t |Mt_t| * max_t 1 / (rcond_t |Mt_t|) of the block-diagonal system;
+    with one block, 1 / rcond.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory, and
@@ -339,14 +386,14 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     mt = _empty_matrix(3 * dbody.n_nodes // count, count)
     norms = _fill_lower(mt, dbody, kernel, split)
     top = max(norms)
-    factors = []
+    factors = _triangles(mt)
     condition = 0.0
-    for t, anorm in enumerate(norms):
+    for (c, lower), anorm in zip(factors, norms):
         try:
-            factors.append(cho_factor(mt[:, :, t]))
+            cho_factor(c, lower)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"kernel matrix factorization failed: {exc}") from None
-        rcond = pocon(factors[-1], anorm)
+        rcond = pocon(c, anorm, lower)
         condition = max(condition, top / anorm / rcond if rcond > 0.0 else np.inf)
     return KernelMatrix(
         body=dbody,

@@ -29,6 +29,7 @@ __all__ = [
     "body_to_dict",
     "body_from_dict",
     "load_body",
+    "csv_lines",
     "csv_text",
 ]
 
@@ -143,9 +144,9 @@ def load_body(path: str) -> BodyGeometry:
     return body_from_dict(data)
 
 
-def csv_text(header: list[str], rows: list[list]) -> str:
-    """CSV with 17-significant-digit floats and no quoting (numeric tables)."""
-    lines = [",".join(header)]
+def csv_lines(header: list[str], rows):
+    """The lines of :func:`csv_text`, each with its newline, one row at a time."""
+    yield ",".join(header) + "\n"
     for row in rows:
         cells = []
         for cell in row:
@@ -155,5 +156,9 @@ def csv_text(header: list[str], rows: list[list]) -> str:
                 cells.append("")
             else:
                 cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        yield ",".join(cells) + "\n"
+
+
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """CSV with 17-significant-digit floats and no quoting (numeric tables)."""
+    return "".join(csv_lines(header, rows))

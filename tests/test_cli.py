@@ -286,6 +286,52 @@ class TestTrajectoryCommands:
         assert first[0] == 0.0
         assert first[1:4] == pytest.approx([0.0, 0.0, 1.0])
 
+    def test_fall_sim_streams_the_csv_of_its_trajectory(self, runner, bent_file,
+                                                         monkeypatch):
+        from hyperstokes import dynamics
+        from hyperstokes.serialize import csv_text
+
+        integrate = dynamics.integrate_orientation
+        kept = []
+
+        def keep(*args):
+            kept.append(integrate(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(dynamics, "integrate_orientation", keep)
+        result = runner.invoke(
+            main,
+            ["fall-sim", bent_file, "--resolution", "8", "--g0", "0", "0.6", "0.8",
+             "--dt", "0.004", "--t-end", "10"],  # 2501 rows: three chunks of formatting
+        )
+        assert result.exit_code == 0
+        (traj,) = kept
+        rows = [[traj.t[k], *traj.G[k], *traj.xi[k], *traj.omega[k]]
+                for k in range(len(traj.t))]
+        header = ["t", "G1", "G2", "G3", "xi1", "xi2", "xi3", "omega1", "omega2", "omega3"]
+        assert result.stdout_bytes == csv_text(header, rows).encode()
+
+    def test_fall_sim_memory_per_step(self, bent_file, tmp_path, monkeypatch):
+        import tracemalloc
+
+        steps = 20_000
+        path = tmp_path / "trajectory.csv"
+        with open(path, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                main.main(["fall-sim", bent_file, "--resolution", "8",
+                           "--g0", "0", "0.6", "0.8", "--dt", "5e-4", "--t-end", "10"],
+                          standalone_mode=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        with open(path) as written:
+            assert sum(1 for _ in written) == steps + 2  # the header and t = 0
+        # the trajectory's own arrays take the 80 bytes a step that
+        # dynamics.check_time_grid counts
+        assert peak <= 200 * steps, peak / steps
+
     def test_fall_sim_rejects_zero_g0(self, runner, bent_file):
         result = runner.invoke(
             main,
@@ -415,7 +461,7 @@ class TestErrorSlugs:
                                                      body_file):
         import hyperstokes.mobility as mob
 
-        def refuse(a):
+        def refuse(a, lower=True):
             raise np.linalg.LinAlgError("matrix is not positive definite (leading minor 3)")
 
         monkeypatch.setattr(mob, "cho_factor", refuse)

@@ -133,6 +133,31 @@ class TestIntegrateOrientation:
             integrate_orientation(inp, g0, 5e-324, 1e300)
 
 
+    def test_written_out_cross_product_matches_np_cross(self, suite_solutions, rng,
+                                                         monkeypatch):
+        import hyperstokes.dynamics as dyn
+
+        for _ in range(1000):
+            a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-8, 8, size=(2, 1))
+            assert np.array_equal(dyn._cross(a, b), np.cross(a, b))
+        dbody, res = suite_solutions[("helix", 16)]
+        inp = FreefallInput.from_body(dbody, res)
+        g0 = np.array([0.36, -0.48, 0.8])
+        runs = []
+        for cross in (dyn._cross, np.cross):
+            monkeypatch.setattr(dyn, "_cross", cross)
+            traj = integrate_orientation(inp, g0, 1e-2, 2.0)
+            fixed = find_fixed_points(inp, grid_resolution=500)
+            runs.append((traj, fixed))
+        (traj, fixed), (ref, ref_fixed) = runs
+        for key in ("G", "xi", "omega"):
+            assert np.array_equal(getattr(traj, key), getattr(ref, key))
+        assert traj.max_step_drift == ref.max_step_drift
+        assert len(fixed.points) == len(ref_fixed.points) > 0
+        for (g, r), (g_ref, r_ref) in zip(fixed.points, ref_fixed.points):
+            assert np.array_equal(g, g_ref) and r == r_ref
+
+
 class TestFindFixedPoints:
     def test_decoupled_body_all_orientations(self, suite_solutions):
         dbody, res = suite_solutions[("octahedron", 8)]

@@ -18,6 +18,7 @@ from hyperstokes import (
 )
 from hyperstokes.kernel import (
     _factors_closed,
+    _factors_over_s,
     _factors_over_s_series,
     _horner,
     _series_coeffs,
@@ -193,6 +194,32 @@ class TestBranchesAndFactors:
         dr, yr = _factors_over_s_series(s, HyperKernel.series_terms)
         assert np.abs(ident_c / s - dr).max() <= 2e-13 * np.abs(dr).min()
         assert np.abs(dyad_c / s - yr).max() <= 2e-11 * np.abs(yr).min()
+
+    @pytest.mark.parametrize("case", ["none-small", "some-small", "all-small",
+                                      "at-cutoff", "scalar"])
+    def test_factors_match_masked_evaluation(self, case, rng):
+        # the closed form written out as expressions, gathered and scattered by mask
+        k = HyperKernel(ell=0.1)
+        s = {
+            "none-small": rng.uniform(0.1, 60.0, size=(40, 300)),
+            "some-small": rng.uniform(0.0, 3.0, size=(40, 300)),
+            "all-small": rng.uniform(0.0, 0.1, size=500),
+            "at-cutoff": k.series_threshold + np.linspace(0.0, 1e-9, 101),
+            "scalar": np.array(0.7),
+        }[case]
+        small = s < k.series_threshold
+        dr = np.empty_like(s)
+        yr = np.empty_like(s)
+        sl = s[~small]
+        e = np.exp(-sl)
+        one_minus_e = -np.expm1(-sl)
+        inv = 1.0 / sl
+        dr[~small] = (1.0 - 2.0 * e - 2.0 * inv * e + 2.0 * inv * inv * one_minus_e) / sl
+        yr[~small] = (1.0 + 2.0 * e + 6.0 * inv * e - 6.0 * inv * inv * one_minus_e) / sl
+        dr[small], yr[small] = _factors_over_s_series(s[small], k.series_terms)
+        got_dr, got_yr = _factors_over_s(s, k)
+        assert got_dr.shape == got_yr.shape == s.shape
+        assert np.array_equal(got_dr, dr) and np.array_equal(got_yr, yr)
 
     def test_green_branch_continuity(self):
         # the two branches of green_scalar, (1 - e^{-s})/s closed and by series

@@ -45,6 +45,23 @@ class TestRoutines:
         estimate = 1.0 / _lapack.pocon(c, anorm)
         assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-12)
 
+    def test_factor_solve_and_condition_in_upper_triangle(self, routines, rng):
+        a = _spd(40, rng)
+        full = a.copy()
+        a[np.tril_indices(40, -1)] = np.nan  # the strict lower triangle is never read
+        c = _lapack.cho_factor(a, lower=False)
+        assert c is a
+        up = np.triu(c)
+        assert np.allclose(up.T @ up, full, rtol=0, atol=1e-12 * np.abs(full).max())
+        assert np.isnan(c[1, 0])
+        b = rng.standard_normal((40, 3))
+        x = _lapack.cho_solve(c, b, lower=False)
+        assert np.allclose(full @ x, b, atol=1e-12)
+        anorm = np.abs(full).sum(axis=0).max()
+        exact = np.linalg.cond(full, 1)
+        estimate = 1.0 / _lapack.pocon(c, anorm, lower=False)
+        assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-12)
+
     def test_indefinite_matrix_raises(self, routines):
         a = np.asfortranarray(np.diag([1.0, -1.0, 2.0]))
         with pytest.raises(np.linalg.LinAlgError, match="order 2"):
@@ -75,6 +92,31 @@ def test_scipy_fallback_matches_numpy_openblas(bodies, kernel, monkeypatch):
         assert res.condition == pytest.approx(ref.condition, rel=1e-10), name
 
 
+def test_scipy_fallback_factors_packed_pair_in_place(bodies, kernel, monkeypatch):
+    import scipy.linalg.lapack as sla
+
+    dbody = discretize(bodies["helix"], 16)
+    ref = resistance(dbody, kernel)
+    dpotrf = sla.dpotrf
+    calls = []
+
+    def spy(a, **kwargs):
+        c, info = dpotrf(a, **kwargs)
+        calls.append((a, c))
+        return c, info
+
+    monkeypatch.setattr(sla, "dpotrf", spy)
+    _use_scipy(monkeypatch)
+    km = mob.assemble(dbody, kernel)
+    (plus, _), (minus, _) = km._factor
+    assert np.shares_memory(plus, minus)  # one (m, m + 1) array
+    assert len(calls) == 2
+    assert all(np.shares_memory(c, a) and np.shares_memory(c, plus) for a, c in calls)
+    res = resistance(dbody, kernel, matrix=km)
+    assert np.linalg.norm(res.A - ref.A) <= 1e-13 * np.linalg.norm(ref.A)
+    assert res.condition == pytest.approx(ref.condition, rel=1e-10)
+
+
 @pytest.mark.skipif(_lapack.SOURCE != "numpy-openblas",
                     reason="scipy's pocon allocates its own work arrays")
 def test_condition_estimate_independent_of_heap_placement(rng):
@@ -83,7 +125,7 @@ def test_condition_estimate_independent_of_heap_placement(rng):
     dbody = discretize(octahedron_frame(1.0), 16)
     mt = mob._empty_matrix(3 * dbody.n_nodes, 1)
     (anorm,) = mob._fill_lower(mt, dbody, HyperKernel(ell=0.1))
-    c = _lapack.cho_factor(mt[:, :, 0])
+    c = _lapack.cho_factor(mt)
     held, values = [], set()
     for _ in range(200):
         held.append(np.empty(int(rng.integers(1, 5000))))  # move the heap around

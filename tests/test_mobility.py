@@ -135,7 +135,7 @@ class TestAssemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.6 * matrix_bytes, peak / matrix_bytes
+        assert peak <= 0.45 * matrix_bytes, peak / matrix_bytes
 
     def test_non_finite_entry_rejected(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
@@ -167,7 +167,8 @@ class TestAssemble:
 
         dbody = discretize(helix(0.2, 0.1, 3), 32)
         assert dbody.involution is not None
-        need = 2 * 8 * (3 * dbody.n_nodes // 2) ** 2  # half the unsplit matrix
+        m = 3 * dbody.n_nodes // 2
+        need = 8 * m * (m + 1)  # two triangles of order m in one array
         monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(AssemblyError, match="physical memory"):
             assemble(dbody, kernel)
@@ -193,8 +194,10 @@ class TestAssemble:
     def test_split_blocks_larger_than_available_memory_rejected(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
 
-        dbody = discretize(helix(0.2, 0.1, 3), 512)  # two 70 MB blocks
-        need = 2 * 8 * (3 * dbody.n_nodes // 2) ** 2
+        dbody = discretize(helix(0.2, 0.1, 3), 512)  # two blocks in one 70 MB array
+        assert dbody.involution is not None  # its search (0.75 MB) runs before the check
+        m = 3 * dbody.n_nodes // 2
+        need = 8 * m * (m + 1)
         monkeypatch.setattr(mob, "_available_memory_bytes", lambda: need - 1)
         tracemalloc.start()
         try:
@@ -251,7 +254,8 @@ class TestAssemble:
         km = assemble(dbody, kernel)
         # the same LAPACK build as assemble's: another one may round differently
         ref = _lapack.cho_factor(symmetrized_matrix(dbody, kernel))
-        assert np.array_equal(np.tril(km._factor[0]), np.tril(ref))
+        (factor, lower), = km._factor
+        assert lower and np.array_equal(np.tril(factor), np.tril(ref))
 
     @pytest.mark.parametrize("name, resolution", [
         ("bent_rod", 8), ("octahedron", 8), ("helix", 8),
@@ -262,8 +266,8 @@ class TestAssemble:
         dbody = discretize(bodies[name], resolution)
         km = assemble(dbody, kernel)
         assert km._split is not None and len(km._factor) == 2
-        for factor, block in zip(km._factor, split_blocks(dbody, kernel)):
-            low = np.tril(factor)
+        for (factor, lower), block in zip(km._factor, split_blocks(dbody, kernel)):
+            low = np.tril(factor) if lower else np.triu(factor).T
             assert np.abs(low @ low.T - block).max() <= 1e-13 * np.abs(block).max()
 
     @pytest.mark.parametrize("name", ["rod", "bent_rod", "tripod", "octahedron", "helix"])
@@ -272,7 +276,8 @@ class TestAssemble:
         km = assemble(dbody, kernel)
         full = symmetrized_matrix(dbody, kernel)
         lange, pocon = get_lapack_funcs(("lange", "pocon"), (full,))
-        rcond, _ = pocon(km._factor[0], lange("1", full), uplo="L")
+        (factor, lower), = km._factor
+        rcond, _ = pocon(factor, lange("1", full), uplo="L" if lower else "U")
         assert km.condition == pytest.approx(1.0 / rcond, rel=1e-12)
 
     @pytest.mark.parametrize("name, resolution", [
@@ -284,8 +289,8 @@ class TestAssemble:
         blocks = split_blocks(dbody, kernel)
         lange, pocon = get_lapack_funcs(("lange", "pocon"), (blocks[0],))
         norms = [lange("1", block) for block in blocks]
-        inverse_norms = [1.0 / (pocon(factor, norm, uplo="L")[0] * norm)
-                         for factor, norm in zip(km._factor, norms)]
+        inverse_norms = [1.0 / (pocon(factor, norm, uplo="L" if lower else "U")[0] * norm)
+                         for (factor, lower), norm in zip(km._factor, norms)]
         assert km.condition == pytest.approx(max(norms) * max(inverse_norms), rel=1e-12)
         # the same estimate as the unsplit system's, up to the change of basis
         full = symmetrized_matrix(dbody, kernel)
@@ -301,11 +306,45 @@ class TestAssemble:
         # an uninitialized allocation may hold any bits, NaN included
         monkeypatch.setattr(
             mob, "_empty_matrix",
-            lambda m, count: np.full((m, m, count), np.nan, order="F"),
+            lambda m, count: np.full((m, m + count - 1), np.nan, order="F"),
         )
         res = resistance(dbody, kernel)
         assert np.array_equal(res.A, ref.A)
         assert res.condition == pytest.approx(ref.condition, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["tripod", "helix"])  # one block, two blocks
+    def test_uninitialized_storage_gives_identical_results(self, bodies, kernel,
+                                                           monkeypatch, name):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(bodies[name], 64)
+        ref = resistance(dbody, kernel)
+        monkeypatch.setattr(
+            mob, "_empty_matrix",
+            lambda m, count: np.full((m, m + count - 1), np.nan, order="F"),
+        )
+        res = resistance(dbody, kernel)
+        assert np.array_equal(res.A, ref.A)
+        assert res.condition == ref.condition
+
+    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
+    def test_factoring_one_block_leaves_the_other(self, bodies, kernel, name):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(bodies[name], 16)
+        m = 3 * dbody.n_nodes // 2
+        mt = np.full((m, m + 1), np.nan, order="F")
+        mob._fill_lower(mt, dbody, kernel, mob._split_nodes(dbody.involution))
+        assert not np.isnan(mt).any()  # the two triangles fill the array
+        filled = mt.copy(order="F")
+        (plus, _), (minus, _) = mob._triangles(mt)
+        alone = np.asfortranarray(np.tril(plus))  # Mt+ in a square array of its own
+        _lapack.cho_factor(alone)
+        _lapack.cho_factor(plus, lower=True)
+        assert np.array_equal(np.triu(minus), np.triu(filled[:, 1:]))
+        assert np.array_equal(np.tril(plus), np.tril(alone))
+        _lapack.cho_factor(minus, lower=False)
+        assert np.array_equal(np.tril(plus), np.tril(alone))
 
     def test_fill_independent_of_worker_count_and_timing(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
@@ -320,9 +359,9 @@ class TestAssemble:
                 sys.setswitchinterval(1e-6)
                 for workers in (1, 8):  # 8 exceeds the column blocks and most core counts
                     monkeypatch.setattr(mob, "_usable_cpus", lambda: workers)
-                    mt = np.zeros((m, m, count), order="F")
+                    mt = np.zeros((m, m + count - 1), order="F")
                     norms = mob._fill_lower(mt, dbody, kernel, split)
-                    results.append((norms, np.tril(mt.transpose(2, 0, 1))))
+                    results.append((norms, mt))
             finally:
                 sys.setswitchinterval(interval)
             (norm1, low1), (norm8, low8) = results
@@ -598,7 +637,7 @@ class TestFailedFactorization:
     def test_failed_cholesky_is_singular_system(self, bodies, kernel, monkeypatch, name):
         import hyperstokes.mobility as mob
 
-        def refuse(a):
+        def refuse(a, lower=True):
             raise np.linalg.LinAlgError("matrix is not positive definite (leading minor 3)")
 
         monkeypatch.setattr(mob, "cho_factor", refuse)
