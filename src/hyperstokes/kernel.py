@@ -160,27 +160,19 @@ def _factors_over_s_series(s: np.ndarray, terms: int):
 def _factors_over_s(s: np.ndarray, kernel: HyperKernel):
     """(D(s)/s, Y(s)/s) with automatic branch selection.
 
-    When no entry takes the series branch, the closed form runs on the
-    whole array and is divided in place, with no gather or scatter.
+    The closed form runs in place on the whole array; the entries below
+    `series_threshold` (s = 0 among them) are then overwritten by the series.
     """
     s = np.asarray(s, dtype=float)
-    small = s < kernel.series_threshold
-    if not small.any():
-        flat = s.reshape(-1)  # at least 1-d, so that the in-place steps get arrays
+    flat = s.reshape(-1)  # at least 1-d, so that the in-place steps get arrays
+    with np.errstate(all="ignore"):  # 1/s at s = 0, overwritten below
         dr, yr = _factors_closed(flat)
         dr /= flat
         yr /= flat
-        return dr.reshape(s.shape), yr.reshape(s.shape)
-    dr = np.empty_like(s)
-    yr = np.empty_like(s)
-    if np.any(~small):
-        sl = s[~small]
-        ident, dyad = _factors_closed(sl)
-        dr[~small] = ident / sl
-        yr[~small] = dyad / sl
-    if np.any(small):
-        dr[small], yr[small] = _factors_over_s_series(s[small], kernel.series_terms)
-    return dr, yr
+    small = flat < kernel.series_threshold
+    if small.any():
+        dr[small], yr[small] = _factors_over_s_series(flat[small], kernel.series_terms)
+    return dr.reshape(s.shape), yr.reshape(s.shape)
 
 
 def identity_factor(s, kernel: HyperKernel) -> np.ndarray:

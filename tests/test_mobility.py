@@ -195,17 +195,23 @@ class TestAssemble:
         import hyperstokes.mobility as mob
 
         dbody = discretize(helix(0.2, 0.1, 3), 512)  # two blocks in one 70 MB array
-        assert dbody.involution is not None  # its search (0.75 MB) runs before the check
         m = 3 * dbody.n_nodes // 2
         need = 8 * m * (m + 1)
         monkeypatch.setattr(mob, "_available_memory_bytes", lambda: need - 1)
         tracemalloc.start()
         try:
+            # the first call runs the involution search (about 0.75 MB) before it refuses
+            with pytest.raises(AssemblyError, match="memory available now"):
+                assemble(dbody, kernel)
+            peak_with_search = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             with pytest.raises(AssemblyError, match="memory available now"):
                 assemble(dbody, kernel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert dbody.involution is not None
+        assert peak_with_search < 2e6
         assert peak < need / 100
 
     def test_available_memory_read_from_meminfo(self, kernel, monkeypatch, tmp_path,
