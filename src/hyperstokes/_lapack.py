@@ -9,6 +9,11 @@ symbols is missing (other wheel layouts, MKL, a system BLAS), the same
 routines come from ``scipy.linalg.lapack``, imported only then.  The two
 sources differ only in :func:`_load`.
 
+Both OpenBLAS builds also export their thread-count calls, which
+:func:`single_threaded` uses to pin the library to one thread while two
+threads each factor a matrix of their own; where the library has no such
+calls (MKL, a system BLAS), it pins nothing.
+
 Matrices are Fortran-order float64, and only the triangle named by ``lower``
 (the lower one by default) is read or written, so two triangles may share
 one array.
@@ -17,10 +22,12 @@ one array.
 from __future__ import annotations
 
 import ctypes
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["cho_factor", "cho_solve", "pocon", "SOURCE"]
+__all__ = ["cho_factor", "cho_solve", "pocon", "single_threaded", "SOURCE"]
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 _ALIGN = 64  # bytes; pocon's work arrays always start on this boundary
@@ -39,8 +46,23 @@ def _aligned_empty(n: int, dtype) -> np.ndarray:
     return raw[skip:skip + n]
 
 
+def _thread_calls(lib, suffix: str = ""):
+    """(get, set) of the OpenBLAS thread count in ``lib``, or None where it has none."""
+    try:
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 def _from_numpy_openblas():
-    """(potrf, potrs, pocon) bound to numpy's OpenBLAS; raises when it is not there."""
+    """(potrf, potrs, pocon, threads) bound to numpy's OpenBLAS; raises when it is not there.
+
+    ``threads`` is the (get, set) pair of :func:`_thread_calls`.
+    """
     from numpy._core import _multiarray_umath
 
     # a library handle also resolves the symbols of its dependencies,
@@ -80,11 +102,16 @@ def _from_numpy_openblas():
                        ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data)
         return rcond.value, info
 
-    return potrf, potrs, pocon
+    return potrf, potrs, pocon, _thread_calls(lib, "64_")
 
 
 def _from_scipy():
-    """(potrf, potrs, pocon) from ``scipy.linalg.lapack``, with the same conventions."""
+    """(potrf, potrs, pocon, threads) from ``scipy.linalg.lapack``, with the same conventions.
+
+    The thread-count calls are those of the OpenBLAS that scipy's LAPACK
+    module links, where it links one.
+    """
+    from scipy.linalg import _flapack
     from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
     def potrf(a, lower):
@@ -104,7 +131,7 @@ def _from_scipy():
         rcond, info = dpocon(c, anorm, uplo="L" if lower else "U")
         return float(rcond), info
 
-    return potrf, potrs, pocon
+    return potrf, potrs, pocon, _thread_calls(ctypes.CDLL(_flapack.__file__))
 
 
 def _load():
@@ -115,7 +142,33 @@ def _load():
         return (*_from_scipy(), "scipy")
 
 
-_potrf, _potrs, _pocon, SOURCE = _load()
+_potrf, _potrs, _pocon, _threads, SOURCE = _load()
+_pin_lock = threading.RLock()
+
+
+@contextmanager
+def single_threaded():
+    """Pin the library to one thread for the ``with`` block; yield whether it is pinned.
+
+    The thread count is the library's, global to the process: under a
+    (re-entrant) lock, so that pinned sections of several threads run one
+    after the other, it is set to 1 and the previous count is restored on
+    exit.  While a section runs, the BLAS calls of every thread of the
+    process run on one thread each.  Where the library has no thread-count
+    calls, nothing is pinned and the block gets False.
+    """
+    threads = _threads
+    if threads is None:
+        yield False
+        return
+    get, set_ = threads
+    with _pin_lock:
+        before = get()
+        set_(1)
+        try:
+            yield True
+        finally:
+            set_(before)
 
 
 def _check_factor(c: np.ndarray) -> None:

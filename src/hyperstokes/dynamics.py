@@ -74,6 +74,7 @@ class OrientationTrajectory:
 
 _SAMPLE_BYTES = 80  # t, G, xi and omega of one stored step
 _LATTICE_POINT_BYTES = 200  # a lattice point, its residual and its 7-neighbour table
+_DRIFT_CHUNK_ROWS = 4096  # rows of G per step of the norm-drift check: its temporaries stay small
 
 
 def check_time_grid(dt: float, t_end: float) -> None:
@@ -91,6 +92,14 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _max_norm_drift(gs: np.ndarray) -> float:
+    """max | |G_k| - 1 | over the rows of ``gs``, in fixed row chunks, so the
+    temporaries do not grow with the trajectory; each row's norm is the
+    same bits as over the whole array."""
+    return max(float(np.abs(np.linalg.norm(gs[lo:lo + _DRIFT_CHUNK_ROWS], axis=1) - 1.0).max())
+               for lo in range(0, len(gs), _DRIFT_CHUNK_ROWS))
 
 
 def integrate_orientation(
@@ -129,7 +138,7 @@ def integrate_orientation(
         G=gs,
         xi=xis,
         omega=omegas,
-        max_norm_drift=float(np.abs(np.linalg.norm(gs, axis=1) - 1.0).max()),
+        max_norm_drift=_max_norm_drift(gs),
         max_step_drift=float(max_step_drift),
         final_residual=float(np.linalg.norm(np.cross(gs[-1], omegas[-1]))),
     )

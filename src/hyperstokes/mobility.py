@@ -38,14 +38,13 @@ T = -(C xi + B omega), with A = [[K, S], [C, B]] symmetric positive
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import threading
 from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from ._lapack import cho_factor, cho_solve, pocon
+from ._lapack import cho_factor, cho_solve, pocon, single_threaded
 from .errors import AssemblyError, InvalidArgument, SingularSystemError
 from .geometry import DiscretizedBody
 from .kernel import HyperKernel, _factors_over_s, oseen_tensor
@@ -224,13 +223,15 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
     C = sqrt(w_k w_l) Z(d') Q, d' = x_k - x_sigma(l), with entries
     b' d'_i (Q d')_j + a' Q_ij, and writes Mt+- = D +- C in one step each.
 
-    The column blocks run on a thread pool (numpy releases the GIL in the
-    ufuncs) and write disjoint elements; with one block or one usable CPU
-    the calling thread fills them itself.  Each returns its minimum node
-    spacing, its largest distance and the absolute sums of its columns (of
-    the whole square and the rows below it) and of its rows below the
-    square; the calling thread combines them in block order, so the result
-    does not depend on thread timing.  By symmetry a row sum below the
+    The column blocks run in order on the calling thread.  A block kept in
+    an upper triangle (Mt-) is stored transposed, where a component write
+    would run over one column block's nodes only; its rows below the square
+    are built in the part of ``mt`` that only later column blocks write
+    (rows and columns from 3 hi on), laid out as Mt+'s rows, then copied
+    into their own place in runs of three times the column block's width.
+    Each column block gives its minimum node spacing, its largest distance
+    and the absolute sums of its columns (of the whole square and the rows
+    below it) and of its rows below the square.  By symmetry a row sum below the
     square is the sum over the unfilled part of a later column, so the
     combined sums are the column sums of the full symmetric matrix and their
     maximum is its 1-norm.  The direct and cross pairs of a split together
@@ -268,7 +269,8 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
 
     def write(lo, hi):
         """Fill column block [lo, hi); return its minimum spacing, largest
-        distance and the whole squares of its blocks (Fortran order)."""
+        distance, the whole squares of its blocks (Fortran order) and
+        their rows below the squares."""
         c = hi - lo
         # components first, so that the arithmetic below reads contiguous arrays
         d = xt[:, None, lo:hi] - xt[:, lo:, None]  # [i, k, l], k in lo:n, l in lo:hi
@@ -287,55 +289,61 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
         del r
         squares = [np.empty((3 * c, 3 * c), order="F") for _ in lowers]
         own = [sq.reshape(c, 3, c, 3) for sq in squares]  # [k, i, l, j] as in blocks
+        below = [blk[hi:, :, lo:hi] for blk in blocks]  # the rows below the squares
+        if split is not None:  # Mt-'s, built where later column blocks write, as Mt+'s lie
+            scratch = mt[3 * hi:, 3 * hi + 1:3 * (hi + c) + 1]
+            if scratch.shape[1] < 3 * c:  # the last blocks: little or nothing below
+                scratch = np.empty((3 * (n - hi), 3 * c), order="F")
+            below[1] = scratch.reshape(n - hi, 3, c, 3)
 
         def emit(t, i, j, op, *values):
             """Write op(*values), component (i, j) of block t's pairs."""
             op(*(v[:c] for v in values), out=own[t][:, i, :, j])
-            op(*(v[c:] for v in values), out=blocks[t][hi:, i, lo:hi, j])
+            op(*(v[c:] for v in values), out=below[t][:, i, :, j])
 
+        # work arrays for every component: fresh ones would each be paged in anew
+        comp, cross, term = (np.empty_like(b) for _ in range(3))
         for i in range(3):
             for j in range(i, 3):
-                comp = b * (d[i] * d[j])
+                np.multiply(d[i], d[j], out=comp)
+                comp *= b
                 if i == j:
                     comp += a
                 for p, s in ((i, j), (j, i)) if i != j else ((i, j),):
                     if split is None:
                         emit(0, p, s, np.positive, comp)  # np.positive copies
                         continue
-                    cross = bx * (dx[p] * qdx[s])
-                    cross += ax * q[p, s]
+                    np.multiply(dx[p], qdx[s], out=cross)
+                    cross *= bx
+                    np.multiply(ax, q[p, s], out=term)
+                    cross += term
                     emit(0, p, s, np.add, comp, cross)
                     emit(1, p, s, np.subtract, comp, cross)
         on_or_below = np.tri(3 * c, dtype=bool)
         for low, sq in zip(lowers, squares):
             np.copyto(low[3 * lo:3 * hi, 3 * lo:3 * hi], sq, where=on_or_below)
-        return spacing, diam, squares
+        if split is not None:
+            # numpy first copies a source whose address range overlaps the
+            # destination's; past the scratch's own columns the two are apart
+            rows, dest = below[1], blocks[1][hi:, :, lo:hi]
+            dest[c:] = rows[c:]
+            dest[:c] = rows[:c]
+        return spacing, diam, squares, [rows.reshape(3 * (n - hi), 3 * c) for rows in below]
 
-    def fill(bounds):
-        lo, hi = bounds
-        spacing, diam, squares = write(lo, hi)
-        sums = []
-        for low, sq in zip(lowers, squares):
-            filled = np.empty((3 * (n - lo), len(sq)), order="F")
-            np.abs(sq, out=filled[:len(sq)])
-            np.abs(low[3 * hi:, 3 * lo:3 * hi], out=filled[len(sq):])
-            sums.append((filled.sum(axis=0), filled[len(sq):].sum(axis=1)))
-            del filled
-        return spacing, diam, sums
-
-    bounds = _column_blocks(n, len(lowers))
     spacing = np.inf
     diam = 0.0
     col_sums = np.zeros((len(lowers), 3 * n))
-    workers = min(_usable_cpus(), len(bounds))
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        filled = pool.map(fill, bounds) if pool is not None else map(fill, bounds)
-        for (lo, hi), (sp, dm, sums) in zip(bounds, filled):
-            spacing = min(spacing, sp)
-            diam = max(diam, dm)
-            for t, (own_cols, rows_below) in enumerate(sums):
-                col_sums[t, 3 * lo:3 * hi] += own_cols
-                col_sums[t, 3 * hi:] += rows_below
+    for lo, hi in _column_blocks(n, len(lowers)):
+        sp, dm, squares, below = write(lo, hi)
+        spacing = min(spacing, sp)
+        diam = max(diam, dm)
+        for t, (sq, rows) in enumerate(zip(squares, below)):
+            filled = np.empty((3 * (n - lo), len(sq)), order="F")
+            np.abs(sq, out=filled[:len(sq)])
+            np.abs(rows, out=filled[len(sq):])
+            col_sums[t, 3 * lo:3 * hi] += filled.sum(axis=0)
+            col_sums[t, 3 * hi:] += filled[len(sq):].sum(axis=1)
+        del squares, below, filled
     if spacing < 1e-12 * max(diam, 1e-300):
         raise AssemblyError(f"coincident quadrature nodes (min spacing {spacing:.3e})")
     norms = [float(sums.max()) for sums in col_sums]
@@ -364,6 +372,52 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
     return mt
 
 
+def _factor_block(c: np.ndarray, lower: bool, anorm: float) -> float:
+    """Factor one block in place; return its reciprocal condition estimate."""
+    cho_factor(c, lower)
+    return pocon(c, anorm, lower)
+
+
+def _factor_blocks(factors: list, norms: list[float]) -> list[float]:
+    """:func:`_factor_block` of each ``(c, lower)`` of :func:`_triangles`, in block order.
+
+    One block is factored with the library's own thread count.  Two split
+    blocks are factored with LAPACK pinned to one thread
+    (:func:`_lapack.single_threaded`), block 0 on the calling thread and
+    block 1 on a helper thread at the same time, which two cores finish
+    sooner than the two blocks one after the other on both.  The helper is
+    joined before this returns or raises, and an exception of block 0 comes
+    before one of block 1.  With one usable CPU the pinned blocks run one
+    after the other, so the factors are the same bit for bit whatever the
+    CPU count or the thread count the process started with.  Where the
+    library's thread count cannot be set, they run one after the other on
+    its threads.
+    """
+    jobs = [(c, lower, anorm) for (c, lower), anorm in zip(factors, norms)]
+    if len(jobs) == 1:
+        return [_factor_block(*jobs[0])]
+    with single_threaded() as pinned:
+        if not pinned or _usable_cpus() == 1:
+            return [_factor_block(*job) for job in jobs]
+        second = []
+
+        def factor_second():
+            try:
+                second.append(_factor_block(*jobs[1]))
+            except Exception as exc:  # raised on the calling thread after the join
+                second.append(exc)
+
+        helper = threading.Thread(target=factor_second)
+        helper.start()
+        try:
+            first = _factor_block(*jobs[0])
+        finally:
+            helper.join()
+    if isinstance(second[0], Exception):
+        raise second[0]
+    return [first, *second]
+
+
 def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     """Fill the lower triangle of the symmetrized kernel matrix and factorize it in place.
 
@@ -375,11 +429,13 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     bytes to be allocated are checked against physical and available memory
     first.  ``condition`` is the 1-norm estimate
     max_t |Mt_t| * max_t 1 / (rcond_t |Mt_t|) of the block-diagonal system;
-    with one block, 1 / rcond.
+    with one block, 1 / rcond.  The factorization runs as
+    :func:`_factor_blocks` says.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory, and
-    SingularSystemError if a Cholesky factorization fails.
+    SingularSystemError if a Cholesky factorization fails (for the first
+    failed block, once every block's factorization has ended).
     """
     split = _split_nodes(dbody.involution)
     count = 1 if split is None else 2
@@ -387,13 +443,12 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     norms = _fill_lower(mt, dbody, kernel, split)
     top = max(norms)
     factors = _triangles(mt)
+    try:
+        rconds = _factor_blocks(factors, norms)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"kernel matrix factorization failed: {exc}") from None
     condition = 0.0
-    for (c, lower), anorm in zip(factors, norms):
-        try:
-            cho_factor(c, lower)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"kernel matrix factorization failed: {exc}") from None
-        rcond = pocon(c, anorm, lower)
+    for rcond, anorm in zip(rconds, norms):
         condition = max(condition, top / anorm / rcond if rcond > 0.0 else np.inf)
     return KernelMatrix(
         body=dbody,

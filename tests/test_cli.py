@@ -52,6 +52,16 @@ def test_cli_loads_no_scipy(tmp_path, args, body):
     assert loaded == "[]"
 
 
+def test_cli_import_loads_no_concurrent_futures():
+    # concurrent.futures brings logging, traceback and string: 5-8 ms a process
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, hyperstokes.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.split()[-1] == "False"
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()

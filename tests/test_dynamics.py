@@ -90,6 +90,27 @@ class TestIntegrateOrientation:
         )
         assert traj.max_norm_drift < 1e-9
 
+    def test_norm_drift_check_keeps_80_bytes_a_step(self):
+        import tracemalloc
+
+        from hyperstokes import dynamics
+
+        inp = spinny_input()
+        g0 = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+        steps = 40_000  # several chunks of the drift check
+        assert steps > 5 * dynamics._DRIFT_CHUNK_ROWS
+        tracemalloc.start()
+        try:
+            traj = integrate_orientation(inp, g0, 1e-3, steps * 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 80 bytes a step that dynamics.check_time_grid counts, plus a
+        # constant; the drift over the whole array at once took 120
+        assert peak <= 80 * steps + 300_000, peak / steps
+        whole = float(np.abs(np.linalg.norm(traj.G, axis=1) - 1.0).max())
+        assert traj.max_norm_drift == whole
+
     def test_step_drift_halving_shows_high_order(self):
         inp = spinny_input()
         g0 = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)

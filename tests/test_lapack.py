@@ -13,10 +13,13 @@ def _spd(n, rng):
 
 
 def _use_scipy(monkeypatch):
-    potrf, potrs, pocon = _lapack._from_scipy()
-    monkeypatch.setattr(_lapack, "_potrf", potrf)
-    monkeypatch.setattr(_lapack, "_potrs", potrs)
-    monkeypatch.setattr(_lapack, "_pocon", pocon)
+    """Route _lapack to scipy's routines and to the thread-count calls of scipy's
+    OpenBLAS, so that a pinned section pins the library that factors;
+    monkeypatch keeps numpy's and restores them after the test."""
+    potrf, potrs, pocon, threads = _lapack._from_scipy()
+    for name, routine in (("_potrf", potrf), ("_potrs", potrs), ("_pocon", pocon),
+                          ("_threads", threads)):
+        monkeypatch.setattr(_lapack, name, routine)
 
 
 @pytest.fixture(params=["loaded", "scipy"])
@@ -80,6 +83,31 @@ class TestRoutines:
         c = _lapack.cho_factor(np.eye(3, order="F"))
         with pytest.raises(ValueError):
             _lapack.cho_solve(c, np.ones(4))
+
+
+def test_single_threaded_pins_and_restores(routines):
+    if _lapack._threads is None:
+        pytest.skip("this LAPACK's thread count cannot be set")
+    get, set_ = _lapack._threads
+    before = get()
+    try:
+        set_(2)
+        with pytest.raises(KeyError):
+            with _lapack.single_threaded() as pinned:
+                assert pinned and get() == 1
+                with _lapack.single_threaded():  # re-entrant
+                    assert get() == 1
+                assert get() == 1
+                raise KeyError("restored on the way out")
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_single_threaded_without_thread_calls_pins_nothing(monkeypatch):
+    monkeypatch.setattr(_lapack, "_threads", None)
+    with _lapack.single_threaded() as pinned:
+        assert pinned is False
 
 
 def test_scipy_fallback_matches_numpy_openblas(bodies, kernel, monkeypatch):

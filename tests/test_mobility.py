@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 import tracemalloc
 import warnings
 from math import pi
@@ -229,27 +230,9 @@ class TestAssemble:
         assert mob._available_memory_bytes() is None
         assert assemble(discretize(helix(0.2, 0.1, 3), 32), kernel).positive_definite
 
-    @pytest.mark.parametrize("name, resolution, cpus", [
-        ("tripod", 8, 2),  # one column block
-        ("helix", 128, 1),  # six blocks, one CPU
-    ])
-    def test_single_worker_fill_starts_no_thread_pool(self, bodies, kernel, monkeypatch,
-                                                      name, resolution, cpus):
-        import hyperstokes.mobility as mob
-
-        dbody = discretize(bodies[name], resolution)
-        ref = resistance(dbody, kernel)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        monkeypatch.setattr(mob, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(mob, "_usable_cpus", lambda: cpus)
-        assert np.array_equal(resistance(dbody, kernel).A, ref.A)
-
     @pytest.mark.parametrize("name, resolution, blocks", [
         ("tripod", 8, 1),
-        ("helix", 128, 6),  # several column blocks: the fill runs on the pool
+        ("helix", 128, 6),  # several column blocks
     ])
     def test_factor_is_cholesky_of_full_matrix(self, bodies, kernel, dense_path,
                                                name, resolution, blocks):
@@ -265,7 +248,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("name, resolution", [
         ("bent_rod", 8), ("octahedron", 8), ("helix", 8),
-        ("helix", 128),  # several column blocks: the fill runs on the pool
+        ("helix", 128),  # several column blocks
     ])
     def test_split_factors_are_cholesky_of_split_blocks(self, bodies, kernel,
                                                         name, resolution):
@@ -352,27 +335,21 @@ class TestAssemble:
         _lapack.cho_factor(minus, lower=False)
         assert np.array_equal(np.tril(plus), np.tril(alone))
 
-    def test_fill_independent_of_worker_count_and_timing(self, kernel, monkeypatch):
+    def test_fill_starts_no_thread(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
 
-        dbody = discretize(helix(0.2, 0.1, 3), 128)
+        dbody = discretize(helix(0.2, 0.1, 3), 128)  # several column blocks
+
+        def no_thread(self):
+            raise AssertionError("the fill started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         for split in (None, mob._split_nodes(dbody.involution)):
             count = 1 if split is None else 2
             m = 3 * dbody.n_nodes // count
-            results = []
-            interval = sys.getswitchinterval()
-            try:
-                sys.setswitchinterval(1e-6)
-                for workers in (1, 8):  # 8 exceeds the column blocks and most core counts
-                    monkeypatch.setattr(mob, "_usable_cpus", lambda: workers)
-                    mt = np.zeros((m, m + count - 1), order="F")
-                    norms = mob._fill_lower(mt, dbody, kernel, split)
-                    results.append((norms, mt))
-            finally:
-                sys.setswitchinterval(interval)
-            (norm1, low1), (norm8, low8) = results
-            assert norm1 == norm8
-            assert np.array_equal(low1, low8)
+            mt = np.full((m, m + count - 1), np.nan, order="F")
+            norms = mob._fill_lower(mt, dbody, kernel, split)
+            assert len(norms) == count and np.all(np.isfinite(norms))
 
     def test_fill_evaluates_lower_block_triangle(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
@@ -649,3 +626,134 @@ class TestFailedFactorization:
         monkeypatch.setattr(mob, "cho_factor", refuse)
         with pytest.raises(SingularSystemError, match="not positive definite"):
             assemble(discretize(bodies[name], 8), kernel)
+
+
+@pytest.fixture()
+def openblas_threads():
+    """(get, set) of LAPACK's thread count; the count is restored after the test."""
+    if _lapack._threads is None:
+        pytest.skip("this LAPACK's thread count cannot be set")
+    get, set_ = _lapack._threads
+    before = get()
+    try:
+        yield get, set_
+    finally:
+        set_(before)
+
+
+class TestPinnedSplitFactorization:
+    """The split blocks are factored side by side, each on one LAPACK thread."""
+
+    @pytest.mark.parametrize("name, resolution", [("octahedron", 16), ("helix", 128)])
+    def test_results_independent_of_cpus_and_starting_threads(self, bodies, kernel, monkeypatch,
+                                                              openblas_threads, name, resolution):
+        import hyperstokes.mobility as mob
+
+        get, set_ = openblas_threads
+        dbody = discretize(bodies[name], resolution)
+        results = []
+        for cpus in (1, 2):
+            for threads in (1, 2):
+                monkeypatch.setattr(mob, "_usable_cpus", lambda: cpus)
+                set_(threads)
+                km = assemble(dbody, kernel)
+                assert get() == threads
+                res = resistance(dbody, kernel, matrix=km)
+                results.append(([c for c, _ in km._factor], km.condition, res.A))
+        (factors, condition, a), *others = results
+        for other_factors, other_condition, other_a in others:
+            assert all(map(np.array_equal, other_factors, factors))
+            assert other_condition == condition
+            assert np.array_equal(other_a, a)
+
+    def test_block_1_runs_on_a_helper_and_count_is_restored(self, bodies, kernel, monkeypatch,
+                                                            openblas_threads):
+        import hyperstokes.mobility as mob
+
+        get, set_ = openblas_threads
+        set_(2)
+        dbody = discretize(bodies["helix"], 64)
+        factor = mob.cho_factor
+        seen = []
+
+        def spy(a, lower=True):
+            seen.append((lower, threading.current_thread() is threading.main_thread(), get()))
+            return factor(a, lower)
+
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mob, "cho_factor", spy)
+        assemble(dbody, kernel)
+        assert sorted(seen) == [(False, False, 1), (True, True, 1)]
+        assert get() == 2
+
+    def test_failed_block_1_is_raised_after_the_helper_ends(self, bodies, kernel, monkeypatch,
+                                                            openblas_threads):
+        import hyperstokes.mobility as mob
+
+        get, set_ = openblas_threads
+        set_(2)
+        factor = mob.cho_factor
+        ended = []
+
+        def refuse_block_1(a, lower=True):
+            if lower:
+                factor(a, lower)
+                ended.append(0)
+                return a
+            raise np.linalg.LinAlgError("matrix is not positive definite (leading minor 7)")
+
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mob, "cho_factor", refuse_block_1)
+        alive = threading.active_count()
+        with pytest.raises(SingularSystemError, match="leading minor 7"):
+            assemble(discretize(bodies["helix"], 64), kernel)
+        assert ended == [0]
+        assert threading.active_count() == alive
+        assert get() == 2
+
+    def test_without_thread_count_calls_blocks_run_in_turn(self, bodies, kernel, monkeypatch):
+        dbody = discretize(bodies["helix"], 64)
+        ref = resistance(dbody, kernel)
+
+        def no_thread(self):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(_lapack, "_threads", None)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        res = resistance(dbody, kernel)
+        assert np.linalg.norm(res.A - ref.A) <= 1e-13 * np.linalg.norm(ref.A)
+        assert res.condition == pytest.approx(ref.condition, rel=1e-10)
+
+    def test_concurrent_assembles_match_sequential(self, bodies, kernel, openblas_threads):
+        get, _ = openblas_threads
+        before = get()
+        names = ("bent_rod", "octahedron", "helix")  # more solving threads than cores
+        dbodies = [discretize(bodies[name], 64) for name in names]
+        sequential = [resistance(dbody, kernel) for dbody in dbodies]
+        results, errors = [[] for _ in names], []
+
+        def solve(i):
+            try:
+                for _ in range(3):
+                    results[i].append(resistance(dbodies[i], kernel))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=solve, args=(i,)) for i in range(len(names))]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert get() == before
+        for runs, ref in zip(results, sequential):
+            assert len(runs) == 3
+            for res in runs:
+                assert res.condition == ref.condition
+                assert np.array_equal(res.A, ref.A)
