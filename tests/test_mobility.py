@@ -335,21 +335,36 @@ class TestAssemble:
         _lapack.cho_factor(minus, lower=False)
         assert np.array_equal(np.tril(plus), np.tril(alone))
 
-    def test_fill_starts_no_thread(self, kernel, monkeypatch):
+    @pytest.mark.parametrize("name, resolution, cpus", [
+        ("tripod", 8, 2),  # one column block
+        ("helix", 128, 1),  # several column blocks, one CPU
+    ])
+    def test_single_worker_fill_starts_no_thread_pool(self, bodies, kernel, monkeypatch,
+                                                      name, resolution, cpus):
         import hyperstokes.mobility as mob
 
-        dbody = discretize(helix(0.2, 0.1, 3), 128)  # several column blocks
+        dbody = discretize(bodies[name], resolution)
+        split = mob._split_nodes(dbody.involution)
+        splits = [None] if split is None else [None, split]
 
-        def no_thread(self):
-            raise AssertionError("the fill started a thread")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        for split in (None, mob._split_nodes(dbody.involution)):
+        def fill(split):
             count = 1 if split is None else 2
             m = 3 * dbody.n_nodes // count
             mt = np.full((m, m + count - 1), np.nan, order="F")
             norms = mob._fill_lower(mt, dbody, kernel, split)
             assert len(norms) == count and np.all(np.isfinite(norms))
+            return mt
+
+        refs = [fill(split) for split in splits]
+
+        def no_thread(self):
+            raise AssertionError("the fill started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: cpus)
+        # the fill runs on the calling thread whatever the CPU count
+        for split, ref in zip(splits, refs):
+            assert np.array_equal(fill(split), ref, equal_nan=True)
 
     def test_fill_evaluates_lower_block_triangle(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
