@@ -14,9 +14,10 @@ Both OpenBLAS builds also export their thread-count calls, which
 threads each factor a matrix of their own; where the library has no such
 calls (MKL, a system BLAS), it pins nothing.
 
-Matrices are Fortran-order float64, and only the triangle named by ``lower``
-(the lower one by default) is read or written, so two triangles may share
-one array.
+Matrices are column-major float64 with a leading dimension of at least
+their order (a square view into the top rows of a taller Fortran-order
+array will do), and only the triangle named by ``lower`` (the lower one by
+default) is read or written, so two triangles may share one array.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ def _from_numpy_openblas():
 
     def potrf(a, lower):
         n = a.shape[0]
-        return potrf_c(_COL_MAJOR, uplo(lower), n, a.ctypes.data, max(n, 1))
+        return potrf_c(_COL_MAJOR, uplo(lower), n, a.ctypes.data, _leading(a))
 
     def potrs(c, b, lower):
         n = c.shape[0]
         nrhs = 1 if b.ndim == 1 else b.shape[1]
-        return potrs_c(_COL_MAJOR, uplo(lower), n, nrhs, c.ctypes.data, max(n, 1),
+        return potrs_c(_COL_MAJOR, uplo(lower), n, nrhs, c.ctypes.data, _leading(c),
                        b.ctypes.data, max(n, 1))
 
     def pocon(c, anorm, lower):
@@ -98,7 +99,7 @@ def _from_numpy_openblas():
         rcond = ctypes.c_double()
         work = _aligned_empty(3 * n, np.float64)
         iwork = _aligned_empty(n, np.int64)
-        info = pocon_c(_COL_MAJOR, uplo(lower), n, c.ctypes.data, max(n, 1), anorm,
+        info = pocon_c(_COL_MAJOR, uplo(lower), n, c.ctypes.data, _leading(c), anorm,
                        ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data)
         return rcond.value, info
 
@@ -117,8 +118,9 @@ def _from_scipy():
     def potrf(a, lower):
         # clean=0: the other triangle may hold another matrix
         c, info = dpotrf(a, lower=int(lower), clean=0, overwrite_a=1)
-        if c is not a:  # f2py copied instead of factoring in place
-            a[...] = c
+        if c is not a:  # f2py copied instead of factoring in place: copy back our triangle
+            own = np.tri(len(a), dtype=bool)
+            np.copyto(a, c, where=own if lower else own.T)
         return info
 
     def potrs(c, b, lower):
@@ -171,10 +173,17 @@ def single_threaded():
             set_(before)
 
 
+def _leading(c: np.ndarray) -> int:
+    """The leading dimension of a column-major matrix."""
+    return max(c.strides[1] // c.itemsize, c.shape[0], 1)
+
+
 def _check_factor(c: np.ndarray) -> None:
     if not (c.ndim == 2 and c.shape[0] == c.shape[1] and c.dtype == np.float64
-            and c.flags.f_contiguous and c.flags.writeable):
-        raise ValueError("expected a writeable Fortran-order square float64 matrix")
+            and (c.flags.f_contiguous
+                 or (c.strides[0] == c.itemsize and c.strides[1] >= c.itemsize * len(c)))
+            and c.flags.writeable):
+        raise ValueError("expected a writeable column-major square float64 matrix")
 
 
 def _check_info(info: int, routine: str) -> None:

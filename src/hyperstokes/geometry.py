@@ -165,21 +165,33 @@ class DiscretizedBody:
 
     @cached_property
     def involution(self) -> Involution | None:
-        """The point-free involution of the nodes (:func:`find_involution`), or None."""
+        """The involution of the nodes (:func:`find_involution`), or None.
+
+        Its node pairs and fixed nodes are the orbits of the solver's
+        symmetry split; a body without one is split by
+        :meth:`Involution.identity`, every node fixed.
+        """
         return find_involution(self.nodes, self.weights)
 
 
 @dataclass(frozen=True, eq=False)
 class Involution:
-    """An affine map x -> c + Q (x - c) that permutes the nodes without fixing any.
+    """An affine map x -> c + Q (x - c) that permutes the nodes.
 
-    Q is symmetric orthogonal and not the identity (a C2 rotation, a mirror
-    or the inversion); node k maps onto node ``sigma[k]`` != k, with
-    ``sigma[sigma[k]] == k`` and equal weights.
+    Q is symmetric orthogonal (the identity, a C2 rotation, a mirror or the
+    inversion); node k maps onto node ``sigma[k]`` of equal weight, with
+    ``sigma[sigma[k]] == k``.  Its orbits are node pairs k != sigma(k) and
+    fixed nodes sigma(k) = k; :func:`find_involution` only returns maps that
+    move at least one pair, and :meth:`identity` is the map that fixes all.
     """
 
     Q: np.ndarray
     sigma: np.ndarray
+
+    @classmethod
+    def identity(cls, n: int) -> Involution:
+        """Q = I and every one of the ``n`` nodes fixed: the split of a body without symmetry."""
+        return cls(Q=np.eye(3), sigma=np.arange(n))
 
 
 def _edges(body: BodyGeometry):
@@ -271,7 +283,7 @@ def nearest_neighbors(points, queries, k: int = 1):
 
 
 def find_involution(nodes, weights) -> Involution | None:
-    """A point-free affine involution of the weighted node set, or None.
+    """An affine involution of the weighted node set that moves a node, or None.
 
     The centre c is the weight centroid and the anchor a the node farthest
     from it (the lowest index among ties, so roundoff does not move it).
@@ -280,13 +292,18 @@ def find_involution(nodes, weights) -> Involution | None:
     normal u - v, the half-turn about u + v (the inversion if v = -u) and,
     if v = -u, the half-turns about axes normal to u, which are not tried.
     At most 64 candidates are tried, in index order of a'.  Each must map a
-    few screening nodes, then all of them, onto other nodes of equal weight:
+    few screening nodes, then all of them, onto nodes of equal weight:
     positions to 1e-12 of the cloud's radius, weights to 1e-12 relative.
+    A node may map onto itself (it lies on the mirror, the axis or the
+    centre), and a moves, so every map found moves at least one pair.  The
+    first point-free map ends the search, so a body that has one gets it;
+    otherwise the map that fixes the fewest nodes is returned, the first
+    among ties.  An involution that fixes a is not found.
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     n = len(x)
-    if n < 2 or n % 2:
+    if n < 2:
         return None
     y = x - w @ x / w.sum()
     r = np.sqrt(np.einsum("ij,ij->i", y, y))
@@ -296,11 +313,10 @@ def find_involution(nodes, weights) -> Involution | None:
     everyone = np.arange(n)
 
     def images(q, rows):
-        """sigma on ``rows`` if q maps each onto another node of equal weight, else None."""
+        """sigma on ``rows`` if q maps each onto a node of equal weight, else None."""
         dist, idx = nearest_neighbors(y, y[rows] @ q)
         sigma = idx[:, 0]
-        ok = (dist.max() <= tol and np.all(sigma != rows)
-              and np.abs(w[sigma] - w[rows]).max() <= wtol)
+        ok = dist.max() <= tol and np.abs(w[sigma] - w[rows]).max() <= wtol
         return sigma if ok else None
 
     def candidates():
@@ -311,15 +327,21 @@ def find_involution(nodes, weights) -> Involution | None:
                 yield eye - (2.0 / (d @ d)) * np.outer(d, d)
                 yield -eye if s @ s <= tol * tol else (2.0 / (s @ s)) * np.outer(s, s) - eye
 
+    best, best_fixed = None, n
     for q in islice(candidates(), _INVOLUTION_CANDIDATES):
         if images(q, everyone[::max(1, n // _INVOLUTION_SCREEN)]) is None:
             continue
         sigma = images(q, everyone)
-        if sigma is not None and np.array_equal(sigma[sigma], everyone):
+        if sigma is None or not np.array_equal(sigma[sigma], everyone):
+            continue
+        fixed = int(np.count_nonzero(sigma == everyone))
+        if fixed < best_fixed:
             q.setflags(write=False)
             sigma.setflags(write=False)
-            return Involution(Q=q, sigma=sigma)
-    return None
+            best, best_fixed = Involution(Q=q, sigma=sigma), fixed
+            if fixed == 0:
+                break
+    return best
 
 
 def total_length(body: BodyGeometry) -> float:

@@ -15,15 +15,23 @@ which is symmetric by construction (Z is even and symmetric) and positive
 definite for valid discretizations; a failed Cholesky factorization is
 reported as SingularSystemError.
 
-When the nodes have a point-free involution x -> c + Q (x - c) permuting
-them by sigma with equal weights (:attr:`DiscretizedBody.involution`), Mt
-commutes with P_sigma (x) Q.  In the orthonormal basis
-(e_k (x) v +- e_sigma(k) (x) Q v) / sqrt(2) over the representatives
-k < sigma(k) it splits into two blocks Mt+ and Mt- of half the size, with
-3x3 blocks Mt_kl +- Mt_k,sigma(l) Q, which are filled and factored instead
-of Mt: a quarter of the factorization work.  Each block is stored as one
-triangle, and the two triangles share one (m, m + 1) array, a quarter of
-the memory of Mt.
+Every body is solved through the involution x -> c + Q (x - c) of its
+nodes (:attr:`DiscretizedBody.involution`), which permutes them by sigma
+with equal weights, so that Mt commutes with P_sigma (x) Q.  Its orbits are
+node pairs k < sigma(k) and fixed nodes sigma(k) = k.  In the frame of
+eigenvectors r_i of Q (Q r_i = s_i r_i) the orthonormal basis vectors
+
+    (e_k (x) r_i +- s_i e_sigma(k) (x) r_i) / sqrt(2)    for a pair, each i,
+    e_k (x) r_i                                          for a fixed node, s_i = +-1,
+
+split Mt into two blocks Mt+ and Mt- with 3x3 blocks Mt_kl +- Mt_k,sigma(l) Q
+between pairs; a fixed node contributes only its components in the
+eigenspace E+-(Q) to block +-.  With p pairs and f fixed nodes the blocks
+have orders m+- = 3 p + f dim E+-, which differ when f > 0; their
+factorization costs m+^3 + m-^3, a quarter of (3N)^3 for a point-free map.
+A body without symmetry is the identity case Q = I: every node is fixed,
+Mt+ is Mt itself and Mt- is empty.  The two blocks share one array, one
+triangle each, in the memory of the larger block alone.
 
 Sign conventions: f is the force per unit length exerted by the body on the
 fluid, so the hydrodynamic force and torque on the body are
@@ -46,7 +54,7 @@ import numpy as np
 
 from ._lapack import cho_factor, cho_solve, pocon, single_threaded
 from .errors import AssemblyError, InvalidArgument, SingularSystemError
-from .geometry import DiscretizedBody
+from .geometry import DiscretizedBody, Involution
 from .kernel import HyperKernel, _factors_over_s, oseen_tensor
 
 __all__ = [
@@ -63,6 +71,7 @@ __all__ = [
 
 _ASSEMBLY_CHUNK_PAIRS = 50_000  # pair evaluations per fill step; its ~3.6 MB of output stays in cache
 _MEMINFO = "/proc/meminfo"
+_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(eq=False)
@@ -70,12 +79,13 @@ class KernelMatrix:
     """Factorized collocation system for one body and kernel.
 
     Only the Cholesky factors of the symmetrized system W^{1/2} M W^{1/2}
-    are kept (:func:`symmetrized_matrix` returns the system itself):
-    ``_factor`` holds one ``(factor, lower)`` pair per block, as
-    :func:`_triangles` gives them: one, or two for the blocks Mt+ and Mt-
-    when ``_split = (Q, representatives, images)`` of the body's involution
-    is set.  ``condition`` is a LAPACK 1-norm estimate for the
-    block-diagonal system that was factored.
+    are kept (:func:`symmetrized_matrix` returns the system itself), split
+    by the orbits of the body's involution: ``_factor`` holds one
+    ``(factor, lower)`` pair per non-empty block, as :func:`_triangles`
+    gives them, the larger block first.  A body without symmetry has the
+    single block of its identity case, the whole system.  ``condition`` is
+    a LAPACK 1-norm estimate for the block-diagonal system that was
+    factored.
     """
 
     body: DiscretizedBody
@@ -83,7 +93,7 @@ class KernelMatrix:
     condition: float
     _factor: tuple
     _sqrt_w: np.ndarray
-    _split: tuple | None = None
+    _orbits: _Orbits
 
     @property
     def positive_definite(self) -> bool:
@@ -93,27 +103,99 @@ class KernelMatrix:
     def solve(self, u: np.ndarray) -> np.ndarray:
         """Force density f with (M W) f = u, for u of shape (3N,) or (3N, k).
 
-        Solves Mt y = W^{1/2} u in the symmetrized variables; f = W^{-1/2} y.
-        Split systems solve Mt+- z+- = u+- with u+-_k = (u_k +- Q u_sigma(k)) / 2
-        and recombine y_k = z+_k + z-_k, y_sigma(k) = Q (z+_k - z-_k).
+        Solves Mt y = g = W^{1/2} u in the symmetrized variables; f = W^{-1/2} y.
+        With g and y turned into the eigenframe of Q, block t solves
+        Mt_t z_t = B_t^T g in its orthonormal basis B_t (the module
+        docstring): (g_k + s g_sigma(k)) / sqrt(2) for a pair, with the
+        block's signs s = +-diag(Q), and the block's components of g_k for
+        a fixed node.  Then y = sum_t B_t z_t: y_k = (z+_k + z-_k) / sqrt(2)
+        and y_sigma(k) = s+ (z+_k - z-_k) / sqrt(2) for a pair, y_k = z_k
+        for a fixed node.
+
+        Raises InvalidArgument for data of another shape or with a
+        non-finite entry.
         """
+        m = len(self._sqrt_w)
+        if np.ndim(u) not in (1, 2) or np.shape(u)[0] != m:
+            raise InvalidArgument(f"boundary data of shape {np.shape(u)}; "
+                                  f"expected ({m},) or ({m}, k)")
         if not np.all(np.isfinite(u)):
             raise InvalidArgument("non-finite boundary data")
-        sw = self._sqrt_w if u.ndim == 1 else self._sqrt_w[:, None]
-        # potrs reads only the factor's own triangle
-        if self._split is None:
-            (c, lower), = self._factor
-            return cho_solve(c, sw * u, lower) / sw
-        q, reps, images = self._split
-        y = (sw * u).reshape(len(sw) // 3, 3, -1)
-        own = 0.5 * y[reps]
-        mirrored = q @ (0.5 * y[images])
-        plus, minus = (cho_solve(c, rhs.reshape(-1, y.shape[2]), lower).reshape(own.shape)
-                       for (c, lower), rhs in zip(self._factor,
-                                                  (own + mirrored, own - mirrored)))
-        y[reps] = plus + minus
-        y[images] = q @ (plus - minus)
-        return y.reshape(u.shape) / sw
+        orb = self._orbits
+        p = orb.pairs
+        sw = self._sqrt_w.reshape(-1, 3, 1)
+        g = orb.frame.T @ (sw * np.reshape(u, (m // 3, 3, -1)))
+        k = g.shape[2]
+        own, mirrored = g[orb.nodes], g[orb.images]
+        y = np.empty_like(g)
+        rep_y, image_y = np.zeros_like(mirrored), np.zeros_like(mirrored)
+        for t, ((c, lower), order) in enumerate(zip(self._factor, orb.orders)):
+            sign, fixed = orb.sign(t), orb.components(t)
+            rhs = np.concatenate([((own[:p] + sign * mirrored) * _SQRT_HALF).reshape(3 * p, k),
+                                  own[p:, fixed].reshape(order - 3 * p, k)])
+            # potrs reads only the factor's own triangle
+            z = cho_solve(c, rhs, lower)
+            pair_z = z[:3 * p].reshape(p, 3, k) * _SQRT_HALF
+            rep_y += pair_z
+            image_y += sign * pair_z
+            y[orb.nodes[p:], fixed] = z[3 * p:].reshape(len(own) - p, fixed.stop - fixed.start, k)
+        y[orb.nodes[:p]] = rep_y
+        y[orb.images] = image_y
+        return (orb.frame @ y / sw).reshape(np.shape(u))
+
+
+@dataclass(frozen=True, eq=False)
+class _Orbits:
+    """The orbits of an involution's node permutation, and the eigenframe of its Q.
+
+    ``nodes`` names one node of each orbit, the node pairs k < sigma(k)
+    first, then the fixed nodes, in index order within each; ``images`` are
+    the pairs' sigma(k).  The columns of ``frame`` are eigenvectors
+    of +-Q, the sign taken so that the eigenvalue +1 has at least two of
+    them, and ordered +1 first: the first ``plus`` components of a fixed
+    node belong to block 0, the rest to block 1, so block 0 is never the
+    smaller.
+    """
+
+    nodes: np.ndarray
+    images: np.ndarray
+    frame: np.ndarray
+    plus: int
+
+    @classmethod
+    def of(cls, involution: Involution) -> _Orbits:
+        sigma = involution.sigma
+        index = np.arange(len(sigma))
+        pairs = np.flatnonzero(sigma > index)
+        nodes = np.concatenate([pairs, np.flatnonzero(sigma == index)])
+        values, vectors = np.linalg.eigh(involution.Q)
+        if np.count_nonzero(values > 0.0) < 2:
+            values = -values  # -Q swaps the two blocks
+        return cls(nodes=nodes, images=sigma[pairs],
+                   frame=vectors[:, np.argsort(-values, kind="stable")],
+                   plus=int(np.count_nonzero(values > 0.0)))
+
+    def components(self, t: int) -> slice:
+        """The frame components of a fixed node in block t."""
+        return (slice(0, self.plus), slice(self.plus, 3))[t]
+
+    def sign(self, t: int) -> np.ndarray:
+        """diag(+-Q) in the frame, as a column, signed +1 on ``components(t)``."""
+        s = np.where(np.arange(3) < self.plus, 1.0, -1.0)[:, None]
+        return s if t == 0 else -s
+
+    def start(self, t: int, k: int) -> int:
+        """The first row of orbit k in block t: 3 per pair and a fixed node's components."""
+        fixed = self.components(t)
+        return 3 * min(k, self.pairs) + (fixed.stop - fixed.start) * max(k - self.pairs, 0)
+
+    @property
+    def pairs(self) -> int:
+        return len(self.images)
+
+    @property
+    def orders(self) -> tuple[int, int]:
+        return self.start(0, len(self.nodes)), self.start(1, len(self.nodes))
 
 
 def _usable_cpus() -> int:
@@ -139,14 +221,18 @@ def _available_memory_bytes() -> int | None:
     return None
 
 
-def _column_blocks(n: int, count: int = 1) -> list[tuple[int, int]]:
-    """Node ranges [lo, hi) of the fill steps, one column block each.
+def _column_blocks(n: int, pairs: int = 0) -> list[tuple[int, int]]:
+    """Orbit ranges [lo, hi) of the fill steps, one column block each.
 
-    A fill into ``count`` = 2 split blocks evaluates two node pairs (direct
-    and cross) per pair of representatives, so its steps are half as wide.
+    A pair column evaluates two node pairs (direct and cross) per row, so
+    the steps over the ``pairs`` pair orbits are half as wide as those over
+    the fixed nodes after them; no step holds both kinds.
     """
-    chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(count * n, 1))
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    blocks = []
+    for first, end, evaluations in ((0, pairs, 2), (pairs, n, 1)):
+        chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(evaluations * n, 1))
+        blocks += [(lo, min(lo + chunk, end)) for lo in range(first, end, chunk)]
+    return blocks
 
 
 def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError) -> None:
@@ -159,99 +245,88 @@ def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError
                         f"{have / 2**30:.3g} GiB of {what}; {advice}")
 
 
-def _empty_matrix(m: int, count: int) -> np.ndarray:
-    """Uninitialized Fortran-order storage for ``count`` (1 or 2) symmetric matrices of order m.
+def _empty_matrix(a: int, b: int) -> np.ndarray:
+    """Uninitialized Fortran-order storage for symmetric blocks of orders a >= b.
 
-    One matrix gets an (m, m) array; two share one (m, m + 1) array, one
-    triangle each (see :func:`_triangles`), the idea of LAPACK's rectangular
-    full packed format (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS
-    37(2), 2010).  The 8 m (m + count - 1) bytes are checked by
+    The two share one (a, max(a, b + 1)) array, one triangle each (see
+    :func:`_triangles`), the idea of LAPACK's rectangular full packed format
+    (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010); an
+    empty second block takes no column.  The bytes are checked by
     :func:`_check_memory` first, so that a matrix the operating system would
     kill the process for ends in an AssemblyError.
     """
-    cols = m + count - 1
-    _check_memory(8 * m * cols,
-                  f"the {m} x {m} kernel matrix needs" if count == 1
-                  else f"the {count} kernel matrix blocks of order {m} need",
+    cols = max(a, b + 1)
+    _check_memory(8 * a * cols, f"the kernel matrix blocks of orders {a} and {b} need",
                   "lower the resolution")
-    return np.empty((m, cols), order="F")
+    return np.empty((a, cols), order="F")
 
 
-def _triangles(mt: np.ndarray) -> list[tuple[np.ndarray, bool]]:
-    """The ``(matrix, lower)`` views of the blocks stored in ``mt`` by :func:`_empty_matrix`.
+def _triangles(mt: np.ndarray, orders: tuple[int, int]) -> list[tuple[np.ndarray, bool]]:
+    """The ``(matrix, lower)`` views of the non-empty blocks stored in ``mt`` by :func:`_empty_matrix`.
 
-    Each view is a Fortran-order (m, m) matrix with leading dimension m that
+    Each view is a Fortran-order square matrix with leading dimension a that
     keeps its block in the lower triangle when ``lower`` is set, else in the
-    upper one.  In an (m, m + 1) array the first block is the lower triangle
-    of ``mt[:, :m]`` and the second the upper triangle of ``mt[:, 1:]``, its
-    element (r, c), r >= c, at ``mt[c, r + 1]``: the two are disjoint and
-    fill the array.
+    upper one.  Block 0 (order a) is the lower triangle of ``mt[:, :a]`` and
+    block 1 (order b) the upper triangle of ``mt[:b, 1:b + 1]``, its element
+    (r, c), r >= c, at ``mt[c, r + 1]``: the two are disjoint.
     """
-    m = mt.shape[0]
-    if mt.shape[1] == m:
-        return [(mt, True)]
-    return [(mt[:, :m], True), (mt[:, 1:], False)]
-
-
-def _split_nodes(involution) -> tuple | None:
-    """(Q, representatives k < sigma(k), their images) of an involution, or None."""
-    if involution is None:
-        return None
-    sigma = involution.sigma
-    reps = np.flatnonzero(sigma > np.arange(len(sigma)))
-    return involution.Q, reps, sigma[reps]
+    a, b = orders
+    return [(mt[:, :a], True), (mt[:b, 1:b + 1], False)][:1 + (b > 0)]
 
 
 def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
-                split: tuple | None = None) -> list[float]:
-    """Fill the lower triangle of W^{1/2} M W^{1/2} or the triangles of its two split blocks.
+                orbits: _Orbits) -> list[float]:
+    """Fill the triangles of the blocks of W^{1/2} M W^{1/2} over ``orbits``.
 
-    With ``split = None``, ``mt`` from ``_empty_matrix(3N, 1)`` gets the
-    (3N, 3N) matrix; with ``split = (Q, reps, images)`` from
-    :func:`_split_nodes`, ``mt`` from ``_empty_matrix(3n, 2)`` gets the
-    blocks Mt+ and Mt- over the n representatives, in the triangles that
-    :func:`_triangles` names.  Returns the 1-norm of each block.
+    ``mt`` from ``_empty_matrix(*orbits.orders)`` gets each non-empty block
+    in the triangle that :func:`_triangles` names.  Returns the 1-norm of
+    each.
 
-    Column block [lo, hi) of the (representative) nodes gets rows lo:n, and
-    only the elements on or below the diagonal are written; the rest of
-    ``mt`` is left as it was.  The rows below the block's own 3x3-block
-    square go straight into ``mt``; the square is filled whole in a small
-    temporary, of which only the lower triangle is copied.  Block (k, l) is
-    sqrt(w_k w_l) Z(d), d = x_k - x_l, filled from the two scalars
+    Column block [lo, hi) of the orbits (:func:`_column_blocks`) gets rows
+    lo:n, and only the elements on or below the diagonal are written; the
+    rest of ``mt`` is left as it was.  The rows below the block's own square
+    go straight into ``mt``; the square is filled whole in a small
+    temporary, of which only the lower triangle is copied.  In the frame of
+    ``orbits``, with d = x_k - x_l and d' = x_k - x_sigma(l), block t's 3x3
+    block (k, l) is sqrt(o_k o_l) / 2 (Z(d) + S_t Z(d')), with S_t =
+    diag(sign(t)) acting on columns and o the orbit weights (w_k + w_sigma(k)
+    for a pair, w_k for a fixed node).  Z is filled from the two scalars
     a = D(s)/s and b = Y(s)/(s |d|^2) per node pair as b d_i d_j + a delta_ij
-    (times sqrt(w_k w_l) / (8 pi ell)).  A split adds the cross term
-    C = sqrt(w_k w_l) Z(d') Q, d' = x_k - x_sigma(l), with entries
-    b' d'_i (Q d')_j + a' Q_ij, and writes Mt+- = D +- C in one step each.
+    (times 1 / (8 pi ell)).  For a fixed column l, d' = d, so the cross term
+    is the direct one and costs no evaluation: the columns a block takes
+    get sqrt(o_k o_l) Z(d).  A fixed row takes only its block's components,
+    so rows and columns run over 3 components per pair and 1 to 3 per fixed
+    node; for a fixed node in both, these are exactly the basis vectors
+    e_k (x) r_i of the module docstring, and the identity case fills Mt.
 
     The column blocks run in order on the calling thread.  A block kept in
-    an upper triangle (Mt-) is stored transposed, where a component write
-    would run over one column block's nodes only; its rows below the square
-    are built in the part of ``mt`` that only later column blocks write
-    (rows and columns from 3 hi on), laid out as Mt+'s rows, then copied
-    into their own place in runs of three times the column block's width.
-    Each column block gives its minimum node spacing, its largest distance
-    and the absolute sums of its columns (of the whole square and the rows
-    below it) and of its rows below the square.  By symmetry a row sum below the
-    square is the sum over the unfilled part of a later column, so the
-    combined sums are the column sums of the full symmetric matrix and their
-    maximum is its 1-norm.  The direct and cross pairs of a split together
-    cover every pair of nodes, so the spacing and distance checks see all
-    of them.
+    an upper triangle (block 1) is stored transposed, where a component
+    write would run over one column block's nodes only; its rows below the
+    square are built in the part of ``mt`` that only later column blocks
+    write (rows from block 1's and columns from block 0's first row of the
+    next column block), laid out as block 0's rows, then copied into their
+    own place.  Each column block gives its minimum node spacing, its
+    largest distance and the absolute sums of its columns (of the whole
+    square and the rows below it) and of its rows below the square.  By
+    symmetry a row sum below the square is the sum over the unfilled part
+    of a later column, so the combined sums are the column sums of the full
+    symmetric block and their maximum is its 1-norm.  The direct pairs and
+    the cross pairs of the pair columns together cover every pair of nodes,
+    so the spacing and distance checks see all of them.
 
     Raises AssemblyError for (near-)coincident nodes and for a non-finite
     entry (which makes its column sum, hence the norm, non-finite).
     """
-    x = dbody.nodes
-    w = dbody.weights
-    if split is not None:
-        q, reps, images = split
-        x, w, partners = x[reps], w[reps], x[images]
-    n = len(x)
-    xt = np.ascontiguousarray(x.T)
+    n, p, reps = len(orbits.nodes), orbits.pairs, orbits.nodes
+    # components first, in the frame
+    xt = np.ascontiguousarray((dbody.nodes[reps] @ orbits.frame).T)
+    pt = np.ascontiguousarray((dbody.nodes[orbits.images] @ orbits.frame).T)
+    omega = dbody.weights[reps] * np.where(np.arange(n) < p, 2.0, 1.0)
+    triangles = _triangles(mt, orbits.orders)
     # element (r, c), r >= c, of block t is lowers[t][r, c]
-    lowers = [view if lower else view.T for view, lower in _triangles(mt)]
-    blocks = [low.reshape(n, 3, n, 3) for low in lowers]  # [k, i, l, j] = [3k+i, 3l+j]
-    scale = 1.0 / (8.0 * pi * kernel.ell)
+    lowers = [view if lower else view.T for view, lower in triangles]
+    signs = [orbits.sign(t)[:, 0] for t in range(len(lowers))]
+    half_scale = 0.5 / (8.0 * pi * kernel.ell)
 
     def pair_factors(d, lo, hi):
         """Distances of the pairs with separations d (components first) and
@@ -261,7 +336,7 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
         r2 += d[2] * d[2]
         r = np.sqrt(r2)
         a, b = _factors_over_s(r / kernel.ell, kernel)
-        c = np.sqrt(w[None, lo:hi] * w[lo:, None]) * scale
+        c = np.sqrt(omega[None, lo:hi] * omega[lo:, None]) * half_scale
         a *= c
         b *= c
         b /= np.where(r2 > 0.0, r2, 1.0)  # d = 0 only on the diagonal, where b = 0
@@ -278,71 +353,94 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
         diam = r.max()
         np.fill_diagonal(r[:c], np.inf)
         spacing = r.min()
-        if split is not None:
-            dx = x[lo:, None, :] - partners[None, lo:hi, :]
-            # Q d' on rows of 3-vectors: BLAS rounds a components-first product differently
-            qdx = np.moveaxis(dx @ q, -1, 0).copy()
-            dx = np.moveaxis(dx, -1, 0).copy()
+        pair_columns = hi <= p  # else fixed columns, whose cross term is the direct one
+        if pair_columns:
+            dx = pt[:, None, lo:hi] - xt[:, lo:, None]  # x_sigma(l) - x_k
             rx, ax, bx = pair_factors(dx, lo, hi)
             spacing, diam = min(spacing, rx.min()), max(diam, rx.max())
+            cross = np.empty_like(b)
             del rx
         del r
-        squares = [np.empty((3 * c, 3 * c), order="F") for _ in lowers]
-        own = [sq.reshape(c, 3, c, 3) for sq in squares]  # [k, i, l, j] as in blocks
-        below = [blk[hi:, :, lo:hi] for blk in blocks]  # the rows below the squares
-        if split is not None:  # Mt-'s, built where later column blocks write, as Mt+'s lie
-            scratch = mt[3 * hi:, 3 * hi + 1:3 * (hi + c) + 1]
-            if scratch.shape[1] < 3 * c:  # the last blocks: little or nothing below
-                scratch = np.empty((3 * (n - hi), 3 * c), order="F")
-            below[1] = scratch.reshape(n - hi, 3, c, 3)
+        pair_rows = max(p - hi, 0)  # the pair rows below the square come first
+        squares, below, segments, columns = [], [], [], []
+        for t, low in enumerate(lowers):
+            fixed = orbits.components(t)
+            cols = slice(0, 3) if pair_columns else fixed
+            first, last = orbits.start(t, lo), orbits.start(t, hi)
+            per_node = (last - first) // c  # components of each column node in block t
+            square = np.empty((last - first, last - first), order="F")
+            rows = low[last:, first:last]
+            if not triangles[t][1]:  # built where later column blocks write, as block 0's lie
+                top = orbits.start(0, hi) + 1
+                rows = mt[last:len(low), top:top + last - first]
+                if rows.shape[1] < last - first:  # the last blocks: little or nothing below
+                    rows = np.empty((len(low) - last, last - first), order="F")
+            split = 3 * pair_rows
+            segments.append([  # (components, value rows, [k, i, l, j] target)
+                (cols, slice(0, c), square.reshape(c, per_node, c, per_node)),
+                (slice(0, 3), slice(c, c + pair_rows),
+                 rows[:split].reshape(pair_rows, 3, c, per_node)),
+                (fixed, slice(c + pair_rows, n - lo),
+                 rows[split:].reshape(n - hi - pair_rows, fixed.stop - fixed.start, c, per_node)),
+            ])
+            squares.append(square)
+            below.append(rows)
+            columns.append(cols)
 
         def emit(t, i, j, op, *values):
-            """Write op(*values), component (i, j) of block t's pairs."""
-            op(*(v[:c] for v in values), out=own[t][:, i, :, j])
-            op(*(v[c:] for v in values), out=below[t][:, i, :, j])
+            """Write op(*values), component (i, j) of the node pairs, where block t has it."""
+            if not columns[t].start <= j < columns[t].stop:
+                return
+            for comps, rows, target in segments[t]:
+                if comps.start <= i < comps.stop:
+                    op(*(v[rows] for v in values),
+                       out=target[:, i - comps.start, :, j - columns[t].start])
 
         # work arrays for every component: fresh ones would each be paged in anew
-        comp, cross, term = (np.empty_like(b) for _ in range(3))
+        comp = np.empty_like(b)
         for i in range(3):
             for j in range(i, 3):
                 np.multiply(d[i], d[j], out=comp)
                 comp *= b
                 if i == j:
                     comp += a
-                for p, s in ((i, j), (j, i)) if i != j else ((i, j),):
-                    if split is None:
-                        emit(0, p, s, np.positive, comp)  # np.positive copies
-                        continue
-                    np.multiply(dx[p], qdx[s], out=cross)
+                term = comp
+                if pair_columns:
+                    np.multiply(dx[i], dx[j], out=cross)
                     cross *= bx
-                    np.multiply(ax, q[p, s], out=term)
-                    cross += term
-                    emit(0, p, s, np.add, comp, cross)
-                    emit(1, p, s, np.subtract, comp, cross)
-        on_or_below = np.tri(3 * c, dtype=bool)
-        for low, sq in zip(lowers, squares):
-            np.copyto(low[3 * lo:3 * hi, 3 * lo:3 * hi], sq, where=on_or_below)
-        if split is not None:
-            # numpy first copies a source whose address range overlaps the
-            # destination's; past the scratch's own columns the two are apart
-            rows, dest = below[1], blocks[1][hi:, :, lo:hi]
-            dest[c:] = rows[c:]
-            dest[:c] = rows[:c]
-        return spacing, diam, squares, [rows.reshape(3 * (n - hi), 3 * c) for rows in below]
+                    if i == j:
+                        cross += ax
+                    term = cross
+                for u, v in ((i, j), (j, i)) if i != j else ((i, j),):
+                    for t in range(len(lowers)):
+                        emit(t, u, v, np.add if signs[t][v] > 0 else np.subtract, comp, term)
+        for t, (low, square) in enumerate(zip(lowers, squares)):
+            first, last = orbits.start(t, lo), orbits.start(t, hi)
+            np.copyto(low[first:last, first:last], square,
+                      where=np.tri(len(square), dtype=bool))
+            if not triangles[t][1]:
+                # numpy first copies a source whose address range overlaps the
+                # destination's; past the scratch's own columns the two are apart
+                rows, dest = below[t], low[last:, first:last]
+                width = last - first
+                dest[width:] = rows[width:]
+                dest[:width] = rows[:width]
+        return spacing, diam, squares, below
 
     spacing = np.inf
     diam = 0.0
-    col_sums = np.zeros((len(lowers), 3 * n))
-    for lo, hi in _column_blocks(n, len(lowers)):
+    col_sums = [np.zeros(len(low)) for low in lowers]
+    for lo, hi in _column_blocks(n, p):
         sp, dm, squares, below = write(lo, hi)
         spacing = min(spacing, sp)
         diam = max(diam, dm)
         for t, (sq, rows) in enumerate(zip(squares, below)):
-            filled = np.empty((3 * (n - lo), len(sq)), order="F")
+            first, last = orbits.start(t, lo), orbits.start(t, hi)
+            filled = np.empty((len(sq) + len(rows), len(sq)), order="F")
             np.abs(sq, out=filled[:len(sq)])
             np.abs(rows, out=filled[len(sq):])
-            col_sums[t, 3 * lo:3 * hi] += filled.sum(axis=0)
-            col_sums[t, 3 * hi:] += filled[len(sq):].sum(axis=1)
+            col_sums[t][first:last] += filled.sum(axis=0)
+            col_sums[t][last:] += filled[len(sq):].sum(axis=1)
         del squares, below, filled
     if spacing < 1e-12 * max(diam, 1e-300):
         raise AssemblyError(f"coincident quadrature nodes (min spacing {spacing:.3e})")
@@ -356,15 +454,16 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
     """The symmetrized system W^{1/2} M W^{1/2} as a Fortran-order (3N, 3N) array.
 
     The full matrix, for tests and inspection: the lower triangle of the
-    unsplit fill, mirrored into the upper one, so it equals its transpose
-    bit for bit.
+    fill's identity case, mirrored into the upper one, so it equals its
+    transpose bit for bit.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory.
     """
     n = dbody.n_nodes
-    mt = _empty_matrix(3 * n, 1)
-    _fill_lower(mt, dbody, kernel)
+    orbits = _Orbits.of(Involution.identity(n))
+    mt = _empty_matrix(*orbits.orders)
+    _fill_lower(mt, dbody, kernel, orbits)
     for lo, hi in _column_blocks(n):
         square = mt[3 * lo:3 * hi, 3 * lo:3 * hi]
         square[...] = np.where(np.tri(len(square), dtype=bool), square, square.T)
@@ -381,7 +480,7 @@ def _factor_block(c: np.ndarray, lower: bool, anorm: float) -> float:
 def _factor_blocks(factors: list, norms: list[float]) -> list[float]:
     """:func:`_factor_block` of each ``(c, lower)`` of :func:`_triangles`, in block order.
 
-    One block is factored with the library's own thread count.  Two split
+    A single block is factored with the library's own thread count.  Two
     blocks are factored with LAPACK pinned to one thread
     (:func:`_lapack.single_threaded`), block 0 on the calling thread and
     block 1 on a helper thread at the same time, which two cores finish
@@ -419,15 +518,16 @@ def _factor_blocks(factors: list, norms: list[float]) -> list[float]:
 
 
 def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
-    """Fill the lower triangle of the symmetrized kernel matrix and factorize it in place.
+    """Fill the blocks of the symmetrized kernel matrix and factorize them in place.
 
-    Only the lower triangle is computed, checked and factored; the 1-norm
-    for the condition estimate and the finiteness check come from the fill.
-    A body with a point-free involution gets the two half-size blocks of
-    its split instead of the (3N, 3N) matrix, in one (m, m + 1) array; the
-    second is factored as U^T U in the upper triangle of its view.  The
-    bytes to be allocated are checked against physical and available memory
-    first.  ``condition`` is the 1-norm estimate
+    The blocks over the orbits of the body's involution (the identity for
+    a body without one) are filled as :func:`_fill_lower` says, one
+    triangle each: only these are computed, checked and factored, and the
+    1-norms for the condition estimate and the finiteness check come from
+    the fill.  Block 1, the smaller, is factored as U^T U in the upper
+    triangle of its view; an empty block is neither allocated nor factored.
+    The bytes to be allocated are checked against physical and available
+    memory first.  ``condition`` is the 1-norm estimate
     max_t |Mt_t| * max_t 1 / (rcond_t |Mt_t|) of the block-diagonal system;
     with one block, 1 / rcond.  The factorization runs as
     :func:`_factor_blocks` says.
@@ -437,12 +537,11 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     SingularSystemError if a Cholesky factorization fails (for the first
     failed block, once every block's factorization has ended).
     """
-    split = _split_nodes(dbody.involution)
-    count = 1 if split is None else 2
-    mt = _empty_matrix(3 * dbody.n_nodes // count, count)
-    norms = _fill_lower(mt, dbody, kernel, split)
+    orbits = _Orbits.of(dbody.involution or Involution.identity(dbody.n_nodes))
+    mt = _empty_matrix(*orbits.orders)
+    norms = _fill_lower(mt, dbody, kernel, orbits)
     top = max(norms)
-    factors = _triangles(mt)
+    factors = _triangles(mt, orbits.orders)
     try:
         rconds = _factor_blocks(factors, norms)
     except np.linalg.LinAlgError as exc:
@@ -456,7 +555,7 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
         condition=float(condition),
         _factor=tuple(factors),
         _sqrt_w=np.repeat(np.sqrt(dbody.weights), 3),
-        _split=split,
+        _orbits=orbits,
     )
 
 

@@ -1,5 +1,7 @@
 """Bodies, mass accounting and quadrature: exactness, symmetry, equivariance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -235,9 +237,11 @@ def _random_rotation(rng):
 class TestFindInvolution:
     @staticmethod
     def _check(inv, nodes, weights):
+        """Check that ``inv`` is an involution of the nodes; return how many it fixes."""
         n = len(nodes)
         assert np.array_equal(inv.sigma[inv.sigma], np.arange(n))
-        assert np.all(inv.sigma != np.arange(n))
+        fixed = int(np.sum(inv.sigma == np.arange(n)))
+        assert fixed < n - 1  # a pair moves
         assert np.array_equal(inv.Q, inv.Q.T)
         assert np.abs(inv.Q @ inv.Q - np.eye(3)).max() < 1e-14
         assert np.trace(inv.Q) < 2.5  # not the identity
@@ -245,6 +249,7 @@ class TestFindInvolution:
         size = np.linalg.norm(nodes - c, axis=1).max()
         assert np.abs((nodes - c) @ inv.Q + c - nodes[inv.sigma]).max() <= 1e-12 * size
         assert np.abs(weights[inv.sigma] - weights).max() <= 1e-12 * weights.max()
+        return fixed
 
     @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
     @pytest.mark.parametrize("resolution", [8, 16, 64])
@@ -253,14 +258,22 @@ class TestFindInvolution:
         inv = dbody.involution
         assert inv is not None
         assert dbody.involution is inv  # found once per body
-        self._check(inv, dbody.nodes, dbody.weights)
+        assert self._check(inv, dbody.nodes, dbody.weights) == 0
 
     @pytest.mark.parametrize("resolution", [8, 16, 64])
-    def test_none_for_tripod(self, bodies, rng, resolution):
-        # its mirrors each hold a leg, and its rotations are of order 3
+    def test_tripod_fixes_nodes(self, bodies, rng, resolution):
+        # its rotations are of order 3 and its mirrors each hold a leg, so
+        # the involution found is a mirror that fixes one leg's nodes
         for q in (np.eye(3), _random_rotation(rng)):
             dbody = discretize(transform(bodies["tripod"], q), resolution)
-            assert dbody.involution is None
+            inv = dbody.involution
+            assert self._check(inv, dbody.nodes, dbody.weights) == dbody.n_nodes // 3
+            assert np.linalg.det(inv.Q) == pytest.approx(-1.0)
+
+    def test_none_for_random_polyline(self, rng):
+        body = BodyGeometry(name="polyline", segments=(Segment(points=rng.normal(size=(6, 3))),))
+        for resolution in (8, 16, 64):
+            assert discretize(body, resolution).involution is None
 
     @pytest.mark.parametrize("resolution", [8, 16, 64])
     def test_found_for_rod_at_even_n(self, bodies, rng, resolution):
@@ -268,7 +281,16 @@ class TestFindInvolution:
         for q in (np.eye(3), _random_rotation(rng)):
             dbody = discretize(transform(bodies["rod"], q), resolution)
             assert dbody.n_nodes % 2 == 0
-            self._check(dbody.involution, dbody.nodes, dbody.weights)
+            assert self._check(dbody.involution, dbody.nodes, dbody.weights) == 0
+
+    @pytest.mark.parametrize("resolution", [9, 17, 65])
+    def test_rod_at_odd_n_fixes_its_middle_node(self, bodies, rng, resolution):
+        for q in (np.eye(3), _random_rotation(rng)):
+            dbody = discretize(transform(bodies["rod"], q), resolution)
+            inv = dbody.involution
+            assert self._check(inv, dbody.nodes, dbody.weights) == 1
+            assert inv.sigma[resolution // 2] == resolution // 2
+            assert np.abs(inv.Q @ (q @ [1.0, 0.0, 0.0]) + q @ [1.0, 0.0, 0.0]).max() < 1e-12
 
     def test_none_for_helix_with_one_vertex_moved(self, bodies):
         points = bodies["helix"].segments[0].points.copy()
@@ -283,26 +305,42 @@ class TestFindInvolution:
         nodes = np.stack([np.cos(angles), np.sin(angles), np.zeros(6)], axis=1)
         inv = geometry.find_involution(nodes, np.ones(6))
         assert inv is not None
-        self._check(inv, nodes, np.ones(6))
+        assert self._check(inv, nodes, np.ones(6)) == 0
         # alternating weights keep the centroid; every point-free map of the
-        # hexagon onto itself sends a vertex to one of the other weight
-        assert geometry.find_involution(nodes, np.array([2.0, 1.0] * 3)) is None
+        # hexagon onto itself sends a vertex to one of the other weight, so
+        # only a mirror through two opposite vertices is left
+        weights = np.array([2.0, 1.0] * 3)
+        inv = geometry.find_involution(nodes, weights)
+        assert self._check(inv, nodes, weights) == 2
         # and so does a perturbation of a single weight
         weights = discretize(helix(0.2, 0.1, 3), 16).weights.copy()
         weights[3] *= 1.0 + 1e-9
         assert geometry.find_involution(discretize(helix(0.2, 0.1, 3), 16).nodes,
                                         weights) is None
 
+    # (Q, a digest of sigma) at resolution 16, as found before fixed nodes were
+    # accepted: a body with a point-free involution keeps the one it had
+    POINT_FREE = {
+        "rod": ([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], "9a720029b8484a22"),
+        "bent_rod": ([[1, 0, 0], [0, -1, 0], [0, 0, 1]], "9a720029b8484a22"),
+        "octahedron": ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], "d2e241412466df2b"),
+        "helix": ([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], "28bb675959655282"),
+    }
+
     @pytest.mark.parametrize("name", ["rod", "bent_rod", "octahedron", "helix"])
     def test_deterministic_under_rotation(self, bodies, rng, name):
         ref = discretize(bodies[name], 16).involution
+        q_ref, sigma_digest = self.POINT_FREE[name]
+        assert np.abs(ref.Q - q_ref).max() < 1e-15
+        assert hashlib.sha1(ref.sigma.astype(np.int64).tobytes()).hexdigest()[:16] == sigma_digest
         for _ in range(4):
             q = _random_rotation(rng)
             inv = discretize(transform(bodies[name], q), 16).involution
             assert np.array_equal(inv.sigma, ref.sigma)
             assert np.abs(inv.Q - q @ ref.Q @ q.T).max() < 1e-12
 
-    @pytest.mark.parametrize("name, full_matches", [("tripod", 0), ("helix", 1)])
+    # the tripod's two mirrors that move the anchor both fix nodes, so both are tried
+    @pytest.mark.parametrize("name, full_matches", [("tripod", 2), ("helix", 1)])
     def test_rejected_candidates_skip_the_full_match(self, bodies, monkeypatch,
                                                      name, full_matches):
         sizes = []
@@ -314,7 +352,7 @@ class TestFindInvolution:
 
         monkeypatch.setattr(geometry, "nearest_neighbors", counting)
         dbody = discretize(bodies[name], 64)
-        assert (dbody.involution is None) == (full_matches == 0)
+        assert dbody.involution is not None
         assert sizes.count(dbody.n_nodes) == full_matches
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hyperstokes import HyperKernel, _lapack, discretize, octahedron_frame, resistance
+from hyperstokes.geometry import Involution
 from hyperstokes import mobility as mob
 
 
@@ -64,6 +65,23 @@ class TestRoutines:
         exact = np.linalg.cond(full, 1)
         estimate = 1.0 / _lapack.pocon(c, anorm, lower=False)
         assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-12)
+
+    def test_square_view_with_larger_leading_dimension(self, routines, rng):
+        # a block of order 30 in the upper triangle of the top rows of a taller
+        # array, beside one of order 40 in its lower triangle, as assemble packs them
+        big, small = _spd(40, rng), _spd(30, rng)
+        store = np.asfortranarray(np.tril(big))
+        store[:30, 1:31][np.triu_indices(30)] = small[np.triu_indices(30)]
+        view = store[:30, 1:31]
+        c = _lapack.cho_factor(view, lower=False)
+        assert c is view
+        up = np.triu(c)
+        assert np.allclose(up.T @ up, small, rtol=0, atol=1e-12 * np.abs(small).max())
+        assert np.array_equal(np.tril(store), np.tril(big))  # the other block is untouched
+        b = rng.standard_normal((30, 2))
+        assert np.allclose(small @ _lapack.cho_solve(c, b, lower=False), b, atol=1e-12)
+        estimate = 1.0 / _lapack.pocon(c, np.abs(small).sum(axis=0).max(), lower=False)
+        assert np.linalg.cond(small, 1) / 3.0 <= estimate <= np.linalg.cond(small, 1) * (1 + 1e-12)
 
     def test_indefinite_matrix_raises(self, routines):
         a = np.asfortranarray(np.diag([1.0, -1.0, 2.0]))
@@ -151,8 +169,9 @@ def test_condition_estimate_independent_of_heap_placement(rng):
     # with work arrays wherever the heap puts them, this estimate took three
     # values in its last digits over 200 calls
     dbody = discretize(octahedron_frame(1.0), 16)
-    mt = mob._empty_matrix(3 * dbody.n_nodes, 1)
-    (anorm,) = mob._fill_lower(mt, dbody, HyperKernel(ell=0.1))
+    orbits = mob._Orbits.of(Involution.identity(dbody.n_nodes))
+    mt = mob._empty_matrix(*orbits.orders)
+    (anorm,) = mob._fill_lower(mt, dbody, HyperKernel(ell=0.1), orbits)
     c = _lapack.cho_factor(mt)
     held, values = [], set()
     for _ in range(200):

@@ -34,7 +34,13 @@ from hyperstokes import (
     tripod_tetrahedron,
 )
 from hyperstokes import _lapack
+from hyperstokes.geometry import Involution
 from hyperstokes.mobility import dissipation, symmetrized_matrix
+
+
+def nan_matrix(a, b):
+    """NaN-filled storage in the shape of ``mobility._empty_matrix(a, b)``."""
+    return np.full((a, max(a, b + 1)), np.nan, order="F")
 
 
 def single_node_body(ell=1.0):
@@ -44,26 +50,47 @@ def single_node_body(ell=1.0):
 
 @pytest.fixture()
 def dense_path(monkeypatch):
-    """Bodies discretized from now on have no involution, so assemble never splits."""
+    """Bodies discretized from now on have no involution: assemble takes the identity case."""
     import hyperstokes.geometry as geo
 
     monkeypatch.setattr(geo, "find_involution", lambda nodes, weights: None)
 
 
-def split_blocks(dbody, kernel):
-    """Mt+ and Mt- formed from the full matrix by the explicit change of basis."""
-    inv = dbody.involution
+def orbit_bases(dbody):
+    """The orthonormal bases (3N, m_t) of the two blocks, one column per basis vector.
+
+    In the frame r_i of the split (``_Orbits``), with the block's signs s:
+    (e_k (x) r_i + s_i e_sigma(k) (x) r_i) / sqrt(2) for each pair k < sigma(k)
+    and component i, then e_k (x) r_i for each fixed node k and each
+    component i of the block's eigenspace.
+    """
+    import hyperstokes.mobility as mob
+
     n = dbody.n_nodes
-    reps = np.flatnonzero(inv.sigma > np.arange(n))
+    orbits = mob._Orbits.of(dbody.involution or Involution.identity(n))
+    p, frame = orbits.pairs, orbits.frame
+    bases = []
+    for t in range(2):
+        columns = []
+        for k, image in zip(orbits.nodes[:p], orbits.images):
+            for i in range(3):
+                v = np.zeros((n, 3))
+                v[k] = frame[:, i] / np.sqrt(2.0)
+                v[image] = orbits.sign(t)[i, 0] * frame[:, i] / np.sqrt(2.0)
+                columns.append(v.ravel())
+        for k in orbits.nodes[p:]:
+            for i in range(3)[orbits.components(t)]:
+                v = np.zeros((n, 3))
+                v[k] = frame[:, i]
+                columns.append(v.ravel())
+        bases.append(np.array(columns).reshape(-1, 3 * n).T)
+    return bases
+
+
+def split_blocks(dbody, kernel):
+    """The blocks formed from the full matrix by the explicit change of basis."""
     full = symmetrized_matrix(dbody, kernel)
-    blocks = []
-    for sign in (1.0, -1.0):
-        basis = np.zeros((n, 3, len(reps), 3))
-        basis[reps, :, np.arange(len(reps)), :] = np.eye(3) / np.sqrt(2.0)
-        basis[inv.sigma[reps], :, np.arange(len(reps)), :] = sign * inv.Q / np.sqrt(2.0)
-        basis = basis.reshape(3 * n, 3 * n // 2)
-        blocks.append(basis.T @ full @ basis)
-    return blocks
+    return [basis.T @ full @ basis for basis in orbit_bases(dbody)]
 
 
 class TestAssemble:
@@ -254,7 +281,7 @@ class TestAssemble:
                                                         name, resolution):
         dbody = discretize(bodies[name], resolution)
         km = assemble(dbody, kernel)
-        assert km._split is not None and len(km._factor) == 2
+        assert len(km._factor) == 2
         for (factor, lower), block in zip(km._factor, split_blocks(dbody, kernel)):
             low = np.tril(factor) if lower else np.triu(factor).T
             assert np.abs(low @ low.T - block).max() <= 1e-13 * np.abs(block).max()
@@ -293,44 +320,41 @@ class TestAssemble:
         dbody = discretize(helix(0.2, 0.1, 3), 128)
         ref = resistance(dbody, kernel)
         # an uninitialized allocation may hold any bits, NaN included
-        monkeypatch.setattr(
-            mob, "_empty_matrix",
-            lambda m, count: np.full((m, m + count - 1), np.nan, order="F"),
-        )
+        monkeypatch.setattr(mob, "_empty_matrix", nan_matrix)
         res = resistance(dbody, kernel)
         assert np.array_equal(res.A, ref.A)
         assert res.condition == pytest.approx(ref.condition, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["tripod", "helix"])  # one block, two blocks
+    @pytest.mark.parametrize("name", ["tripod", "helix"])  # blocks of unequal, equal orders
     def test_uninitialized_storage_gives_identical_results(self, bodies, kernel,
                                                            monkeypatch, name):
         import hyperstokes.mobility as mob
 
         dbody = discretize(bodies[name], 64)
         ref = resistance(dbody, kernel)
-        monkeypatch.setattr(
-            mob, "_empty_matrix",
-            lambda m, count: np.full((m, m + count - 1), np.nan, order="F"),
-        )
+        monkeypatch.setattr(mob, "_empty_matrix", nan_matrix)
         res = resistance(dbody, kernel)
         assert np.array_equal(res.A, ref.A)
         assert res.condition == ref.condition
 
-    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
+    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix", "tripod"])
     def test_factoring_one_block_leaves_the_other(self, bodies, kernel, name):
         import hyperstokes.mobility as mob
 
         dbody = discretize(bodies[name], 16)
-        m = 3 * dbody.n_nodes // 2
-        mt = np.full((m, m + 1), np.nan, order="F")
-        mob._fill_lower(mt, dbody, kernel, mob._split_nodes(dbody.involution))
-        assert not np.isnan(mt).any()  # the two triangles fill the array
+        orbits = mob._Orbits.of(dbody.involution)
+        a, b = orbits.orders
+        mt = nan_matrix(a, b)
+        mob._fill_lower(mt, dbody, kernel, orbits)
+        # the two triangles fill the array, apart from the columns right of
+        # block 1's triangle when the orders differ
+        assert np.isnan(mt).sum() == a * max(a, b + 1) - a * (a + 1) // 2 - b * (b + 1) // 2
         filled = mt.copy(order="F")
-        (plus, _), (minus, _) = mob._triangles(mt)
-        alone = np.asfortranarray(np.tril(plus))  # Mt+ in a square array of its own
+        (plus, _), (minus, _) = mob._triangles(mt, orbits.orders)
+        alone = np.asfortranarray(np.tril(plus))  # block 0 in a square array of its own
         _lapack.cho_factor(alone)
         _lapack.cho_factor(plus, lower=True)
-        assert np.array_equal(np.triu(minus), np.triu(filled[:, 1:]))
+        assert np.array_equal(np.triu(minus), np.triu(filled[:b, 1:b + 1]))
         assert np.array_equal(np.tril(plus), np.tril(alone))
         _lapack.cho_factor(minus, lower=False)
         assert np.array_equal(np.tril(plus), np.tril(alone))
@@ -344,15 +368,13 @@ class TestAssemble:
         import hyperstokes.mobility as mob
 
         dbody = discretize(bodies[name], resolution)
-        split = mob._split_nodes(dbody.involution)
-        splits = [None] if split is None else [None, split]
+        splits = [mob._Orbits.of(inv)
+                  for inv in (Involution.identity(dbody.n_nodes), dbody.involution)]
 
-        def fill(split):
-            count = 1 if split is None else 2
-            m = 3 * dbody.n_nodes // count
-            mt = np.full((m, m + count - 1), np.nan, order="F")
-            norms = mob._fill_lower(mt, dbody, kernel, split)
-            assert len(norms) == count and np.all(np.isfinite(norms))
+        def fill(orbits):
+            mt = nan_matrix(*orbits.orders)
+            norms = mob._fill_lower(mt, dbody, kernel, orbits)
+            assert len(norms) == 1 + (orbits.orders[1] > 0) and np.all(np.isfinite(norms))
             return mt
 
         refs = [fill(split) for split in splits]
@@ -588,16 +610,16 @@ class TestEquivarianceViaTransform:
 
 
 class TestSplitSolve:
-    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix"])
+    @pytest.mark.parametrize("name", ["bent_rod", "octahedron", "helix", "tripod"])
     def test_solve_matches_unsplit_system(self, bodies, kernel, rng, monkeypatch, name):
         import hyperstokes.geometry as geo
 
         dbody = discretize(bodies[name], 16)
         km = assemble(dbody, kernel)
-        assert km._split is not None
+        assert len(km._factor) == 2
         monkeypatch.setattr(geo, "find_involution", lambda nodes, weights: None)
         dense = assemble(discretize(bodies[name], 16), kernel)
-        assert dense._split is None
+        assert len(dense._factor) == 1
         m = 3 * dbody.n_nodes
         for u in (rng.normal(size=m), rng.normal(size=(m, 4))):
             f = km.solve(u)
@@ -626,8 +648,62 @@ class TestSplitSolve:
             assert err <= 1e-13, (ell, resolution, err)
             if not split:
                 assert np.array_equal(a, ref)
-        # only the tripod (its mirrors hold a leg) keeps the dense path
-        assert all(split for *_, split, _ in cases) == (name != "tripod")
+        # every suite body splits, the tripod with a leg's nodes fixed by its mirror
+        assert all(split for *_, split, _ in cases)
+
+
+class TestFixedNodes:
+    """Nodes on the symmetry element are orbits of one: the rod at odd N, the tripod."""
+
+    @pytest.mark.parametrize("name, resolution, orders", [
+        ("rod", 17, (26, 25)),  # the middle node on the mirror
+        ("tripod", 16, (80, 64)),  # a leg's 16 nodes on the mirror
+    ])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_filled_blocks_match_orbit_basis(self, bodies, kernel, name, resolution, orders,
+                                             rotated):
+        import hyperstokes.mobility as mob
+
+        q = ortho_group.rvs(3, random_state=np.random.default_rng(5)) if rotated else np.eye(3)
+        dbody = discretize(transform(bodies[name], q), resolution)
+        inv = dbody.involution
+        assert np.any(inv.sigma == np.arange(dbody.n_nodes))
+        orbits = mob._Orbits.of(inv)
+        assert orbits.orders == orders
+        assert orders[0] ** 3 + orders[1] ** 3 < 0.3 * (3 * dbody.n_nodes) ** 3
+        bases = orbit_bases(dbody)
+        together = np.hstack(bases)
+        assert np.abs(together.T @ together - np.eye(3 * dbody.n_nodes)).max() < 1e-14
+        full = symmetrized_matrix(dbody, kernel)
+        scale = np.abs(full).max()
+        assert np.abs(bases[0].T @ full @ bases[1]).max() <= 1e-13 * scale  # no coupling
+        mt = nan_matrix(*orders)
+        mob._fill_lower(mt, dbody, kernel, orbits)
+        for (view, lower), basis in zip(mob._triangles(mt, orders), bases):
+            block = basis.T @ full @ basis
+            low = np.tril(view) if lower else np.triu(view).T
+            assert np.abs(low - np.tril(block)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("resolution", [17, 33])
+    def test_odd_rod_matches_identity_case(self, bodies, kernel, monkeypatch, resolution):
+        import hyperstokes.geometry as geo
+
+        dbody = discretize(bodies["rod"], resolution)
+        km = assemble(dbody, kernel)
+        assert km._orbits.orders == (3 * (resolution // 2) + 2, 3 * (resolution // 2) + 1)
+        a = resistance(dbody, kernel, matrix=km).A
+        monkeypatch.setattr(geo, "find_involution", lambda nodes, weights: None)
+        ref = resistance(discretize(bodies["rod"], resolution), kernel).A
+        assert np.linalg.norm(a - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", ["tripod", "helix", "rod"])
+    def test_solve_refuses_data_of_another_shape(self, bodies, kernel, name):
+        km = assemble(discretize(bodies[name], 16), kernel)
+        m = 3 * km.body.n_nodes
+        for shape in ((5,), (m + 3,), (m, 2, 1), (2, m), ()):
+            with pytest.raises(InvalidArgument, match=rf"expected \({m},\) or \({m}, k\)"):
+                km.solve(np.zeros(shape))
+        assert km.solve(np.zeros((m, 0))).shape == (m, 0)
 
 
 class TestFailedFactorization:
