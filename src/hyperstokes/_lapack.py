@@ -1,13 +1,14 @@
-"""Cholesky factorization, solve and condition estimate: LAPACK potrf, potrs, pocon.
+"""Cholesky factorization, solve, condition estimate and 1-norm: LAPACK potrf, potrs, pocon, lansy.
 
-The three routines are bound with ctypes to the OpenBLAS that numpy itself
+The four routines are bound with ctypes to the OpenBLAS that numpy itself
 loaded (the ``numpy.libs/libscipy_openblas64_*`` library of numpy 2 wheels,
 whose LAPACKE entry points take 64-bit integers), so the solver runs without
 importing scipy.  The ``_work`` entry points are used: the plain LAPACKE ones
 scan the matrix for NaN on every call.  Where numpy's library or one of the
 symbols is missing (other wheel layouts, MKL, a system BLAS), the same
-routines come from ``scipy.linalg.lapack``, imported only then.  The two
-sources differ only in :func:`_load`.
+routines come from scipy, imported only then: ``scipy.linalg.lapack``, and
+``dlansy``, which it does not wrap, from ``scipy.linalg.cython_lapack``.
+The two sources differ only in :func:`_load`.
 
 Both OpenBLAS builds also export their thread-count calls, which
 :func:`single_threaded` uses to pin the library to one thread while two
@@ -28,10 +29,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["cho_factor", "cho_solve", "pocon", "single_threaded", "SOURCE"]
+__all__ = ["cho_factor", "cho_solve", "pocon", "lansy", "single_threaded", "SOURCE"]
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
-_ALIGN = 64  # bytes; pocon's work arrays always start on this boundary
+_ALIGN = 64  # bytes; pocon's and lansy's work arrays always start on this boundary
 
 
 def _aligned_empty(n: int, dtype) -> np.ndarray:
@@ -60,7 +61,7 @@ def _thread_calls(lib, suffix: str = ""):
 
 
 def _from_numpy_openblas():
-    """(potrf, potrs, pocon, threads) bound to numpy's OpenBLAS; raises when it is not there.
+    """(potrf, potrs, pocon, lansy, threads) bound to numpy's OpenBLAS; raises where it is missing.
 
     ``threads`` is the (get, set) pair of :func:`_thread_calls`.
     """
@@ -80,6 +81,9 @@ def _from_numpy_openblas():
                         ctypes.POINTER(ctypes.c_double), ptr, ptr]
     for fn in (potrf_c, potrs_c, pocon_c):
         fn.restype = i64
+    lansy_c = lib.scipy_LAPACKE_dlansy_work64_
+    lansy_c.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+    lansy_c.restype = ctypes.c_double
 
     def uplo(lower):
         return b"L" if lower else b"U"
@@ -103,16 +107,23 @@ def _from_numpy_openblas():
                        ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data)
         return rcond.value, info
 
-    return potrf, potrs, pocon, _thread_calls(lib, "64_")
+    def lansy(c, lower):
+        n = c.shape[0]
+        work = _aligned_empty(n, np.float64)
+        return lansy_c(_COL_MAJOR, b"1", uplo(lower), n, c.ctypes.data, _leading(c),
+                       work.ctypes.data)
+
+    return potrf, potrs, pocon, lansy, _thread_calls(lib, "64_")
 
 
 def _from_scipy():
-    """(potrf, potrs, pocon, threads) from ``scipy.linalg.lapack``, with the same conventions.
+    """(potrf, potrs, pocon, lansy, threads) from scipy, with the same conventions.
 
+    ``lansy`` is the C function in a capsule of ``scipy.linalg.cython_lapack``.
     The thread-count calls are those of the OpenBLAS that scipy's LAPACK
     module links, where it links one.
     """
-    from scipy.linalg import _flapack
+    from scipy.linalg import _flapack, cython_lapack
     from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
     def potrf(a, lower):
@@ -133,7 +144,19 @@ def _from_scipy():
         rcond, info = dpocon(c, anorm, uplo="L" if lower else "U")
         return float(rcond), info
 
-    return potrf, potrs, pocon, _thread_calls(ctypes.CDLL(_flapack.__file__))
+    capsule, text, ptr = cython_lapack.__pyx_capi__["dlansy"], ctypes.c_char_p, ctypes.c_void_p
+    api, obj, int_p = ctypes.pythonapi, ctypes.py_object, ctypes.POINTER(ctypes.c_int)
+    name = ctypes.PYFUNCTYPE(text, obj)(("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ptr, obj, text)(("PyCapsule_GetPointer", api))(capsule, name)
+    dlansy = ctypes.CFUNCTYPE(ctypes.c_double, text, text, int_p, ptr, int_p, ptr)(address)
+
+    def lansy(c, lower):
+        n, lda = ctypes.c_int(c.shape[0]), ctypes.c_int(_leading(c))
+        work = _aligned_empty(c.shape[0], np.float64)
+        return dlansy(b"1", b"L" if lower else b"U", ctypes.byref(n), c.ctypes.data,
+                      ctypes.byref(lda), work.ctypes.data)
+
+    return potrf, potrs, pocon, lansy, _thread_calls(ctypes.CDLL(_flapack.__file__))
 
 
 def _load():
@@ -144,7 +167,7 @@ def _load():
         return (*_from_scipy(), "scipy")
 
 
-_potrf, _potrs, _pocon, _threads, SOURCE = _load()
+_potrf, _potrs, _pocon, _lansy, _threads, SOURCE = _load()
 _pin_lock = threading.RLock()
 
 
@@ -231,3 +254,10 @@ def pocon(c: np.ndarray, anorm: float, lower: bool = True) -> float:
     rcond, info = _pocon(c, float(anorm), lower)
     _check_info(info, "pocon")
     return rcond
+
+
+def lansy(c: np.ndarray, lower: bool = True) -> float:
+    """The 1-norm of the symmetric matrix in the triangle of ``c`` that ``lower`` names,
+    which alone is read; a NaN or infinite entry there makes it non-finite."""
+    _check_factor(c)
+    return _lansy(c, lower)

@@ -225,7 +225,9 @@ def _solver_options(fn):
     fn = click.option("--force", is_flag=True, help="Override the condition ceiling.")(fn)
     fn = click.option(
         "--max-condition", type=float, default=DEFAULT_CONDITION_CEILING,
-        show_default=True, help="Refuse solves above this condition number.",
+        show_default=True,
+        help="Refuse solves whose condition estimate, a lower bound on the "
+             "condition number, is above this.",
     )(fn)
     fn = click.option("--resolution", type=float, default=DEFAULT_RESOLUTION, show_default=True)(fn)
     fn = click.option("--ell", type=float, default=DEFAULT_ELL, show_default=True)(fn)
@@ -329,8 +331,9 @@ def symmetry_cmd(file, ell, resolution, max_condition, force, transform,
 @main.command("fall-sim")
 @_solver_options
 @click.option("--g0", nargs=3, type=float, required=True, help="Initial gravity direction.")
-@click.option("--dt", type=float, required=True)
-@click.option("--t-end", type=float, required=True)
+@click.option("--dt", type=float, required=True, help="RK4 step.")
+@click.option("--t-end", type=float, required=True,
+              help="End time; the last step is shortened to end there.")
 def fall_sim(file, ell, resolution, max_condition, force, g0, dt, t_end):
     """Integrate the orientation kinematics; emits a trajectory CSV."""
     cfg = RunConfig(ell=ell, resolution=resolution,

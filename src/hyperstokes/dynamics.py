@@ -20,7 +20,8 @@ pre-renormalization drift is recorded as an order diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from itertools import chain, repeat
+from math import floor, pi, sqrt
 
 import numpy as np
 
@@ -105,7 +106,12 @@ def _max_norm_drift(gs: np.ndarray) -> float:
 def integrate_orientation(
     inp: FreefallInput, G0, dt: float, t_end: float
 ) -> OrientationTrajectory:
-    """Classical RK4 on dG/dt = G x omega(G), renormalizing after each step."""
+    """Classical RK4 on dG/dt = G x omega(G), renormalizing after each step.
+
+    The steps are dt long, and the trajectory ends at t_end: when t_end / dt
+    is within 1e-9 relative of a whole number k, after k steps at the times
+    k dt; otherwise the last step is shortened to end at t_end itself.
+    """
     check_time_grid(dt, t_end)
     g = np.asarray(G0, dtype=float)
     if g.shape != (3,) or abs(np.linalg.norm(g) - 1.0) > 1e-8:
@@ -116,17 +122,24 @@ def integrate_orientation(
     def rhs(v):
         return _cross(v, l_omega @ v)
 
-    n_steps = max(1, int(round(t_end / dt)))
-    ts = dt * np.arange(n_steps + 1)
-    gs = np.empty((n_steps + 1, 3))
+    steps = t_end / dt
+    whole = round(steps)
+    if whole >= 1 and abs(steps - whole) <= 1e-9 * whole:
+        ts = dt * np.arange(whole + 1)
+        last = dt
+    else:
+        full = floor(steps)
+        ts = np.append(dt * np.arange(full + 1), t_end)
+        last = float(t_end - ts[-2])
+    gs = np.empty((len(ts), 3))
     gs[0] = g
     max_step_drift = 0.0
-    for k in range(n_steps):
+    for k, h in enumerate(chain(repeat(dt, len(ts) - 2), [last])):
         k1 = rhs(g)
-        k2 = rhs(g + 0.5 * dt * k1)
-        k3 = rhs(g + 0.5 * dt * k2)
-        k4 = rhs(g + dt * k3)
-        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(g + 0.5 * h * k1)
+        k3 = rhs(g + 0.5 * h * k2)
+        k4 = rhs(g + h * k3)
+        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norm = np.linalg.norm(g)
         max_step_drift = max(max_step_drift, abs(norm - 1.0))
         g = g / norm

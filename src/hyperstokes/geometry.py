@@ -72,8 +72,10 @@ class Segment:
             )
         if not np.all(np.isfinite(pts)):
             raise BodyConfigError("segment contains non-finite coordinates")
-        edges = np.diff(pts, axis=0)
-        lengths = np.linalg.norm(edges, axis=1)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            lengths = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        if not np.all(np.isfinite(lengths)):
+            raise BodyConfigError("segment has an edge whose length overflows a float")
         if np.any(lengths == 0.0):
             raise BodyConfigError("segment has consecutive duplicate points")
         dens = np.asarray(self.density, dtype=float)
@@ -358,21 +360,26 @@ def mass_properties(body: BodyGeometry) -> MassProperties:
     """Exact line integrals of the piecewise-linear, piecewise-constant body.
 
     Each edge contributes rho * L to the mass and rho * L * midpoint to the
-    first moment, which is exact for linear geometry.
+    first moment, which is exact for linear geometry.  Raises BodyConfigError
+    when the mass, the length or a moment overflows a float.
     """
     m = 0.0
     length = 0.0
     moment = np.zeros(3)
     geo_moment = np.zeros(3)
-    for p0, p1, rho in _edges(body):
-        ell = float(np.linalg.norm(p1 - p0))
-        mid = 0.5 * (p0 + p1)
-        m += rho * ell
-        length += ell
-        moment += rho * ell * mid
-        geo_moment += ell * mid
-    com = moment / m
-    centroid = geo_moment / length
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for p0, p1, rho in _edges(body):
+            ell = float(np.linalg.norm(p1 - p0))
+            mid = 0.5 * (p0 + p1)
+            m += rho * ell
+            length += ell
+            moment += rho * ell * mid
+            geo_moment += ell * mid
+        com = moment / m
+        centroid = geo_moment / length
+        r = centroid - com
+    if not np.all(np.isfinite([m, length, *com, *centroid, *r])):
+        raise BodyConfigError(f"the body's mass {m}, length {length} or moments overflow a float")
     if body.m_c > m:
         raise BodyConfigError(
             f"complementary mass m_c={body.m_c} exceeds body mass m={m}"
@@ -383,7 +390,7 @@ def mass_properties(body: BodyGeometry) -> MassProperties:
         m_e=m - body.m_c,
         center_of_mass=com,
         centroid=centroid,
-        r=centroid - com,
+        r=r,
         total_length=length,
     )
 
@@ -460,7 +467,10 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     mass = mass_properties(body)
     edges = list(_edges(body))
     lengths = [float(np.linalg.norm(p1 - p0)) for p0, p1, _ in edges]
-    counts = [max(1, ceil(ell * resolution * (1.0 - 1e-12))) for ell in lengths]
+    sizes = [ell * resolution * (1.0 - 1e-12) for ell in lengths]
+    if not np.isfinite(sum(sizes)):
+        raise InvalidArgument(f"resolution {resolution} asks for more nodes than a float counts")
+    counts = [max(1, ceil(size)) for size in sizes]
     _check_memory(_NODE_BYTES * sum(counts), f"{sum(counts)} quadrature nodes need",
                   "lower the resolution", InvalidArgument)
     nodes, weights, densities = [], [], []

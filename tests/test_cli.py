@@ -457,6 +457,20 @@ class TestErrorSlugs:
         assert all(slugs)
         assert len(set(slugs)) == len(slugs)
 
+    @pytest.mark.parametrize("command", [["resistance"], ["body", "info"]])
+    @pytest.mark.parametrize("points, density", [
+        ([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]], 1.0),  # an edge length overflows
+        ([[0.0, 0.0, 0.0], [1e10, 0.0, 0.0]], 1e300),  # the mass overflows
+    ], ids=["length", "mass"])
+    def test_overflowing_body_is_invalid(self, runner, tmp_path, command, points, density):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge",
+                                    "segments": [{"points": points, "density": density}]}))
+        result = runner.invoke(main, [*command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[invalid-body]")
+        assert "overflow" in result.stderr
+
     def test_duplicate_segments_fail_assembly(self, runner, tmp_path):
         data = body_to_dict(rod(1.0))
         data["segments"] = data["segments"] * 2

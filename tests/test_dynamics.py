@@ -131,6 +131,30 @@ class TestIntegrateOrientation:
         assert traj.omega.shape == (51, 3)
         assert traj.t[-1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("dt, t_end, times", [
+        (0.3, 1.0, [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]),  # the last step shortened
+        (1.0, 1e-3, [0.0, 1e-3]),  # one step, shorter than dt
+        (0.1, 0.3, [0.0, 0.1, 0.2, 0.30000000000000004]),  # 3 - 4e-16 steps: k dt
+    ])
+    def test_trajectory_ends_at_t_end(self, dt, t_end, times):
+        traj = integrate_orientation(spinny_input(), np.array([1.0, 0.0, 0.0]), dt, t_end)
+        assert traj.t.tolist() == times
+        assert traj.G.shape == (len(times), 3)
+
+    def test_whole_step_count_keeps_the_grid(self):
+        traj = integrate_orientation(spinny_input(), np.array([1.0, 0.0, 0.0]), 0.01, 10.0)
+        assert np.array_equal(traj.t, 0.01 * np.arange(1001))
+
+    def test_shortened_last_step_reaches_t_end(self):
+        inp = spinny_input()
+        g0 = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+        ref = integrate_orientation(inp, g0, 1e-4, 1.0).G[-1]
+        for dt, tol in ((0.03, 1e-6), (0.015, 1e-7)):  # steps of dt to 0.99, then one of 0.01
+            traj = integrate_orientation(inp, g0, dt, 1.0)
+            assert traj.t[-1] == 1.0 and traj.t[-2] == pytest.approx(0.99)
+            assert np.abs(traj.G[-1] - ref).max() < tol
+            assert np.abs(traj.G[-2] - ref).max() > 1e-4  # 0.01 short of t_end is far off
+
     def test_input_validation(self):
         inp = spinny_input()
         with pytest.raises(InvalidArgument):

@@ -146,6 +146,8 @@ class TestDiscretize:
             discretize(rod(1.0), 0.0)
         with pytest.raises(InvalidArgument):
             discretize(rod(1.0), -3)
+        with pytest.raises(InvalidArgument, match="more nodes than a float counts"):
+            discretize(rod(10.0), 1e308)  # length x resolution overflows
 
     def test_nodes_larger_than_memory_rejected(self, monkeypatch):
         import hyperstokes.mobility as mob
@@ -489,6 +491,22 @@ class TestValidation:
             Segment(points=pts, density=0.0)
         with pytest.raises(BodyConfigError):
             Segment(points=pts, density=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]],  # its squared length overflows
+        [[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]],  # its difference overflows
+    ])
+    def test_segment_rejects_overflowing_edge(self, points):
+        with pytest.raises(BodyConfigError, match="overflows"):
+            Segment(points=np.array(points))
+
+    def test_overflowing_mass_rejected(self):
+        seg = Segment(points=np.array([[0.0, 0.0, 0.0], [1e10, 0.0, 0.0]]), density=1e300)
+        body = BodyGeometry(name="dense", segments=(seg,))
+        with pytest.raises(BodyConfigError, match="overflow"):
+            mass_properties(body)
+        with pytest.raises(BodyConfigError, match="overflow"):
+            discretize(body, 1e-9)
 
     def test_body_needs_segments(self):
         with pytest.raises(BodyConfigError):

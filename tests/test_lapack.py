@@ -17,9 +17,9 @@ def _use_scipy(monkeypatch):
     """Route _lapack to scipy's routines and to the thread-count calls of scipy's
     OpenBLAS, so that a pinned section pins the library that factors;
     monkeypatch keeps numpy's and restores them after the test."""
-    potrf, potrs, pocon, threads = _lapack._from_scipy()
+    potrf, potrs, pocon, lansy, threads = _lapack._from_scipy()
     for name, routine in (("_potrf", potrf), ("_potrs", potrs), ("_pocon", pocon),
-                          ("_threads", threads)):
+                          ("_lansy", lansy), ("_threads", threads)):
         monkeypatch.setattr(_lapack, name, routine)
 
 
@@ -82,6 +82,36 @@ class TestRoutines:
         assert np.allclose(small @ _lapack.cho_solve(c, b, lower=False), b, atol=1e-12)
         estimate = 1.0 / _lapack.pocon(c, np.abs(small).sum(axis=0).max(), lower=False)
         assert np.linalg.cond(small, 1) / 3.0 <= estimate <= np.linalg.cond(small, 1) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_symmetric_norm_reads_one_triangle(self, routines, rng, lower):
+        a = rng.standard_normal((40, 40))
+        full = a + a.T
+        store = np.asfortranarray(full)
+        other = np.triu_indices(40, 1) if lower else np.tril_indices(40, -1)
+        store[other] = np.nan  # the other strict triangle is never read
+        assert _lapack.lansy(store, lower) == pytest.approx(np.abs(full).sum(0).max(),
+                                                            rel=1e-14)
+
+    def test_symmetric_norm_of_view_with_larger_leading_dimension(self, routines, rng):
+        # the two triangles of a packed pair, as assemble stores them
+        a, b = rng.standard_normal((40, 40)), rng.standard_normal((30, 30))
+        big, small = a + a.T, b + b.T
+        store = np.full((40, 41), np.nan, order="F")
+        store[:, :40][np.tril_indices(40)] = big[np.tril_indices(40)]
+        store[:30, 1:31][np.triu_indices(30)] = small[np.triu_indices(30)]
+        assert _lapack.lansy(store[:, :40]) == pytest.approx(np.abs(big).sum(0).max(),
+                                                             rel=1e-14)
+        assert _lapack.lansy(store[:30, 1:31], lower=False) == pytest.approx(
+            np.abs(small).sum(0).max(), rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_symmetric_norm_propagates_non_finite_entry(self, routines, bad, lower):
+        a = np.asfortranarray(np.eye(5))
+        a[(3, 1) if lower else (1, 3)] = bad
+        norm = _lapack.lansy(a, lower)
+        assert np.isnan(norm) if np.isnan(bad) else norm == np.inf
 
     def test_indefinite_matrix_raises(self, routines):
         a = np.asfortranarray(np.diag([1.0, -1.0, 2.0]))
@@ -171,7 +201,8 @@ def test_condition_estimate_independent_of_heap_placement(rng):
     dbody = discretize(octahedron_frame(1.0), 16)
     orbits = mob._Orbits.of(Involution.identity(dbody.n_nodes))
     mt = mob._empty_matrix(*orbits.orders)
-    (anorm,) = mob._fill_lower(mt, dbody, HyperKernel(ell=0.1), orbits)
+    mob._fill_lower(mt, dbody, HyperKernel(ell=0.1), orbits)
+    anorm = _lapack.lansy(mt)
     c = _lapack.cho_factor(mt)
     held, values = [], set()
     for _ in range(200):

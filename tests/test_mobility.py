@@ -165,7 +165,7 @@ class TestAssemble:
             tracemalloc.stop()
         assert peak <= 0.45 * matrix_bytes, peak / matrix_bytes
 
-    def test_non_finite_entry_rejected(self, kernel, monkeypatch):
+    def test_non_finite_entry_rejected(self, bodies, kernel, monkeypatch):
         import hyperstokes.mobility as mob
 
         factors = mob._factors_over_s
@@ -176,8 +176,12 @@ class TestAssemble:
             return a, b
 
         monkeypatch.setattr(mob, "_factors_over_s", nan_in_one_pair)
-        with pytest.raises(AssemblyError, match="non-finite"):
-            assemble(discretize(tripod_tetrahedron(1.0), 8), kernel)
+        for name in ("tripod", "helix"):  # unequal, equal block orders
+            dbody = discretize(bodies[name], 8)
+            with pytest.raises(AssemblyError, match="non-finite"):
+                assemble(dbody, kernel)
+            with pytest.raises(AssemblyError, match="non-finite"):
+                symmetrized_matrix(dbody, kernel)
 
     def test_matrix_larger_than_memory_rejected(self, kernel, monkeypatch, dense_path):
         import hyperstokes.mobility as mob
@@ -373,7 +377,8 @@ class TestAssemble:
 
         def fill(orbits):
             mt = nan_matrix(*orbits.orders)
-            norms = mob._fill_lower(mt, dbody, kernel, orbits)
+            assert mob._fill_lower(mt, dbody, kernel, orbits) is None
+            norms = mob._norms(mob._triangles(mt, orbits.orders))
             assert len(norms) == 1 + (orbits.orders[1] > 0) and np.all(np.isfinite(norms))
             return mt
 
@@ -387,6 +392,29 @@ class TestAssemble:
         # the fill runs on the calling thread whatever the CPU count
         for split, ref in zip(splits, refs):
             assert np.array_equal(fill(split), ref, equal_nan=True)
+
+    @pytest.mark.parametrize("name, resolution, split", [
+        ("helix", 16, False),  # the identity case: one block
+        ("helix", 128, True),  # point-free: equal orders, several column blocks
+        ("tripod", 16, True),  # fixed nodes: unequal orders, pair and fixed columns
+    ])
+    def test_fill_writes_exactly_the_two_triangles(self, bodies, kernel, name, resolution,
+                                                   split):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(bodies[name], resolution)
+        orbits = mob._Orbits.of(dbody.involution if split
+                                else Involution.identity(dbody.n_nodes))
+        a, b = orbits.orders
+        assert (b > 0) == split
+        mt = mob._empty_matrix(a, b)
+        mt[...] = np.nan
+        mob._fill_lower(mt, dbody, kernel, orbits)
+        own = np.zeros(mt.shape, dtype=bool)
+        own[:, :a] = np.tri(a, dtype=bool)
+        own[:b, 1:b + 1] |= np.tri(b, dtype=bool).T
+        assert np.array_equal(np.isfinite(mt), own)
+        assert np.isnan(mt[~own]).all()
 
     def test_fill_evaluates_lower_block_triangle(self, kernel, monkeypatch):
         import hyperstokes.mobility as mob
