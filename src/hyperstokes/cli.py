@@ -23,6 +23,7 @@ from .kernel import (
     green_classical,
     green_scalar,
     oseen_tensor,
+    scaled_norm,
     stokeslet_pressure,
     stokeslet_velocity,
 )
@@ -88,10 +89,20 @@ class PhysicalParams:
 
 def nondim(p: PhysicalParams):
     """Reference speed W = rho g d^2 / mu, Reynolds number Re = rho W d / mu,
-    and ell = L / d; returns (W, Re, ell, warnings)."""
-    w = p.rho * p.g_phys * p.d**2 / p.mu
+    and ell = L / d; returns (W, Re, ell, warnings).
+
+    Raises InvalidArgument, naming the group, where one overflows a float.
+    """
+    try:
+        w = p.rho * p.g_phys * p.d**2 / p.mu
+    except OverflowError:  # d**2 of a Python float raises instead of giving inf
+        w = float("inf")
     re = p.rho * w * p.d / p.mu
     ell = p.L / p.d
+    for name, value in (("W = rho g d^2 / mu", w), ("Re = rho W d / mu", re),
+                        ("ell = L / d", ell)):
+        if not np.isfinite(value):
+            raise InvalidArgument(f"{name} overflows for these parameters")
     notes = []
     if re > 0.1:
         notes.append(f"Re = {re:.6g} is not small; the creeping-flow model may not apply")
@@ -203,11 +214,12 @@ def kernel_eval(x, ell, h):
     """Green's function, Oseen tensor and optionally the Stokeslet at x."""
     kern = HyperKernel(ell=ell)
     point = np.asarray(x, dtype=float)
-    at_origin = np.linalg.norm(point) == 0.0
+    r = scaled_norm(point)
+    at_origin = r == 0.0
     result = {
         "x": point,
         "ell": ell,
-        "s": float(np.linalg.norm(point) / ell),
+        "s": float(r / ell),
         "g": float(green_scalar(point, kern)),
         "g_classical": None if at_origin else float(green_classical(point)),
         "Z": oseen_tensor(point, kern),
@@ -339,7 +351,7 @@ def fall_sim(file, ell, resolution, max_condition, force, g0, dt, t_end):
     cfg = RunConfig(ell=ell, resolution=resolution,
                     condition_ceiling=max_condition, force=force)
     g_start = np.asarray(g0, dtype=float)
-    norm = np.linalg.norm(g_start)
+    norm = scaled_norm(g_start)
     if norm == 0.0 or not np.all(np.isfinite(g_start)):
         raise InvalidArgument("--g0 must be a nonzero finite vector")
     dynamics.check_time_grid(dt, t_end)

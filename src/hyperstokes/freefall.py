@@ -221,7 +221,7 @@ def steady_states(inp: FreefallInput, tol_trans: float | None = None) -> list[St
 def check_axis(body_axis) -> np.ndarray:
     """Validate a body axis (a nonzero finite 3-vector) and return it as a float array."""
     axis = np.asarray(body_axis, dtype=float)
-    if axis.shape != (3,) or not np.all(np.isfinite(axis)) or np.linalg.norm(axis) < 1e-300:
+    if axis.shape != (3,) or not np.all(np.isfinite(axis)) or not np.any(axis):
         raise InvalidArgument("body axis must be a nonzero finite 3-vector")
     return axis
 
@@ -229,5 +229,8 @@ def check_axis(body_axis) -> np.ndarray:
 def tilt_angle(state: SteadyState, body_axis) -> float:
     """Angle in degrees, within [0, 90], between gravity and a body axis."""
     axis = check_axis(body_axis)
+    # scaled by a power of two, which is exact, so that neither the product
+    # nor the norm overflows or underflows
+    axis = np.ldexp(axis, -np.frexp(np.abs(axis).max())[1])
     cosine = abs(float(state.g @ axis) / np.linalg.norm(axis))
     return degrees(acos(min(cosine, 1.0)))

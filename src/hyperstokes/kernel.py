@@ -85,6 +85,21 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
+def scaled_norm(x, axis=None) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` of one vector (``axis=None``) or of the
+    vectors along the last axis (``axis=-1``), without overflow or underflow.
+
+    Each vector is scaled by the power of two that brings its largest
+    component into [0.5, 1) before the plain norm is taken, and the norm is
+    scaled back.  Scaling by a power of two is exact, so the result has the
+    plain norm's bits wherever its sum of squares neither overflows nor
+    underflows, and is right where it would: |(1e200, 0, 0)| is 1e200, not
+    inf, and |(1e-170, 0, 0)| is 1e-170, not 0.
+    """
+    _, exponent = np.frexp(np.abs(x).max(axis=-1))
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -exponent[..., None]), axis=axis), exponent)
+
+
 @lru_cache(maxsize=None)
 def _series_coeffs(terms: int):
     """Taylor coefficients of D(s)/s, Y(s)/s and (1 - e^{-s})/s.
@@ -196,7 +211,7 @@ def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
     (the Laplace fundamental solution) as ell -> 0 at fixed |x|.
     """
     x = _as_points(x)
-    r = np.linalg.norm(x, axis=-1)
+    r = scaled_norm(x, axis=-1)
     s = r / kernel.ell
     small = s < kernel.series_threshold
     out = np.empty_like(s)
@@ -212,7 +227,7 @@ def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
 def green_classical(x) -> np.ndarray:
     """Fundamental solution 1/(4 pi |x|) of the Laplace operator; singular at 0."""
     x = _as_points(x)
-    r = np.linalg.norm(x, axis=-1)
+    r = scaled_norm(x, axis=-1)
     if np.any(r == 0.0):
         raise SingularPointError("classical Green's function is singular at x = 0")
     return 1.0 / (4.0 * pi * r)
@@ -226,7 +241,7 @@ def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
     Symmetric and even in x; Z(0) = I/(6 pi ell) by continuity.
     """
     x = _as_points(x)
-    r = np.linalg.norm(x, axis=-1)
+    r = scaled_norm(x, axis=-1)
     s = r / kernel.ell
     dr, yr = _factors_over_s(s, kernel)
     safe = np.where(r > 0.0, r, 1.0)
@@ -248,22 +263,30 @@ def stokeslet_pressure(x, h) -> np.ndarray:
     """Pressure p(x) = (h . x) / (4 pi |x|^3) of the point-force solution.
 
     Identical to the classical Stokeslet pressure (the screening term does
-    not alter the pressure); harmonic and singular at the origin.
+    not alter the pressure); harmonic and singular at the origin.  Where
+    |x|^3 or h . x leaves the range of normal floats, p is taken from
+    x = 2^e u, |u| in [0.5, 1), as 2^-2e (h . u) / (4 pi |u|^3).
     """
     x = _as_points(x)
-    h = _as_points(h)
-    r = np.linalg.norm(x, axis=-1)
+    h = np.broadcast_to(_as_points(h), x.shape)
+    r = scaled_norm(x, axis=-1)
     if np.any(r == 0.0):
         raise SingularPointError("Stokeslet pressure is singular at x = 0")
-    return np.einsum("...i,...i->...", x, np.broadcast_to(h, x.shape)) / (
-        4.0 * pi * r**3
-    )
+    mantissa, exponent = np.frexp(r)
+    with np.errstate(all="ignore"):  # out-of-range entries are taken from the scaled form
+        cube = r**3
+        plain = np.einsum("...i,...i->...", x, h) / (4.0 * pi * cube)
+        u = np.ldexp(x, -exponent[..., None])
+        scaled = np.ldexp(np.einsum("...i,...i->...", u, h) / (4.0 * pi * mantissa**3),
+                          -2 * exponent)
+    normal = (np.finfo(float).tiny <= cube) & (cube < np.inf) & np.isfinite(plain)
+    return np.where(normal, plain, scaled)[()]
 
 
 def classical_oseen(x) -> np.ndarray:
     """Classical Oseen tensor (I + xhat xhat^T) / (8 pi |x|); the ell -> 0 limit."""
     x = _as_points(x)
-    r = np.linalg.norm(x, axis=-1)
+    r = scaled_norm(x, axis=-1)
     if np.any(r == 0.0):
         raise SingularPointError("classical Oseen tensor is singular at x = 0")
     xhat = x / r[..., None]

@@ -110,7 +110,10 @@ class KernelMatrix:
         block's signs s = +-diag(Q), and the block's components of g_k for
         a fixed node.  Then y = sum_t B_t z_t: y_k = (z+_k + z-_k) / sqrt(2)
         and y_sigma(k) = s+ (z+_k - z-_k) / sqrt(2) for a pair, y_k = z_k
-        for a fixed node.
+        for a fixed node.  The blocks' solves run as :func:`_side_by_side`
+        says: for two blocks with more than one usable CPU, side by side on
+        one LAPACK thread each, which gives the same bits as one after the
+        other.
 
         Raises InvalidArgument for data of another shape or with a
         non-finite entry.
@@ -129,12 +132,14 @@ class KernelMatrix:
         own, mirrored = g[orb.nodes], g[orb.images]
         y = np.empty_like(g)
         rep_y, image_y = np.zeros_like(mirrored), np.zeros_like(mirrored)
+        jobs = []
         for t, ((c, lower), order) in enumerate(zip(self._factor, orb.orders)):
             sign, fixed = orb.sign(t), orb.components(t)
             rhs = np.concatenate([((own[:p] + sign * mirrored) * _SQRT_HALF).reshape(3 * p, k),
                                   own[p:, fixed].reshape(order - 3 * p, k)])
-            # potrs reads only the factor's own triangle
-            z = cho_solve(c, rhs, lower)
+            jobs.append((c, rhs, lower))  # potrs reads only the factor's own triangle
+        for t, z in enumerate(_side_by_side(cho_solve, jobs)):
+            sign, fixed = orb.sign(t), orb.components(t)
             pair_z = z[:3 * p].reshape(p, 3, k) * _SQRT_HALF
             rep_y += pair_z
             image_y += sign * pair_z
@@ -299,9 +304,18 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
     node; for a fixed node in both, these are exactly the basis vectors
     e_k (x) r_i of the module docstring, and the identity case fills Mt.
 
-    The column blocks run in order on the calling thread.  The direct pairs
-    and the cross pairs of the pair columns together cover every pair of
-    nodes, so the spacing check sees all of them.
+    The column blocks are taken in order from one shared iterator by the
+    calling thread and, when more than one CPU is usable and the fill holds
+    more than two chunks of ``_ASSEMBLY_CHUNK_PAIRS`` evaluations (n^2 >
+    2 chunks for n orbits; the fill evaluates n^2 / 2 to n^2 node pairs),
+    by one helper thread as well: numpy releases the interpreter lock in
+    its array loops, so the two share the work on two cores.  Each column
+    block writes only its own elements, so the triangles are the same bit
+    for bit whatever the interleaving.  If either worker raises
+    (KeyboardInterrupt included), the other stops after its current column
+    block; the helper is joined before this returns or raises.  The
+    direct pairs and the cross pairs of the pair columns together cover
+    every pair of nodes, so the spacing check sees all of them.
 
     Raises AssemblyError for (near-)coincident nodes.
     """
@@ -399,7 +413,26 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
                       where=np.tri(len(square), dtype=bool))
         return spacing, diam
 
-    spacings, diams = zip(*(write(lo, hi) for lo, hi in _column_blocks(n, p)))
+    blocks, taken = iter(_column_blocks(n, p)), threading.Lock()
+    stop, extents = threading.Event(), []
+
+    def fill_blocks():
+        try:
+            while not stop.is_set():
+                with taken:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                extents.append(write(*block))
+        except BaseException:
+            stop.set()  # the other worker ends after its current column block
+            raise
+
+    if _usable_cpus() > 1 and n * n > 2 * _ASSEMBLY_CHUNK_PAIRS:
+        _two_threads(fill_blocks, fill_blocks)
+    else:
+        fill_blocks()
+    spacings, diams = zip(*extents)
     if min(spacings) < 1e-12 * max(*diams, 1e-300):
         raise AssemblyError(f"coincident quadrature nodes (min spacing {min(spacings):.3e})")
 
@@ -418,7 +451,7 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
     orbits = _Orbits.of(Involution.identity(n))
     mt = _empty_matrix(*orbits.orders)
     _fill_lower(mt, dbody, kernel, orbits)
-    _norms(_triangles(mt, orbits.orders))
+    _norm(mt, True)
     for lo, hi in _column_blocks(n):
         square = mt[3 * lo:3 * hi, 3 * lo:3 * hi]
         square[...] = np.where(np.tri(len(square), dtype=bool), square, square.T)
@@ -426,59 +459,76 @@ def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarra
     return mt
 
 
-def _norms(factors: list) -> list[float]:
-    """LAPACK's lansy 1-norm of each ``(c, lower)`` of :func:`_triangles`;
-    AssemblyError if one is not finite, as a NaN or inf entry makes it."""
-    norms = [lansy(c, lower) for c, lower in factors]
-    if not np.all(np.isfinite(norms)):
-        raise AssemblyError(f"non-finite entry in the kernel matrix (1-norms {norms})")
-    return norms
+def _norm(c: np.ndarray, lower: bool) -> float:
+    """LAPACK's lansy 1-norm of a ``(c, lower)`` of :func:`_triangles`;
+    AssemblyError if it is not finite, as a NaN or inf entry makes it."""
+    norm = lansy(c, lower)
+    if not np.isfinite(norm):
+        raise AssemblyError(f"non-finite entry in the kernel matrix (1-norm {norm})")
+    return norm
 
 
-def _factor_block(c: np.ndarray, lower: bool, anorm: float) -> float:
-    """Factor one block in place; return its reciprocal condition estimate."""
-    cho_factor(c, lower)
-    return pocon(c, anorm, lower)
+def _factor_block(c: np.ndarray, lower: bool):
+    """Take one block's 1-norm, factor the block in place and estimate its condition.
 
-
-def _factor_blocks(factors: list, norms: list[float]) -> list[float]:
-    """:func:`_factor_block` of each ``(c, lower)`` of :func:`_triangles`, in block order.
-
-    A single block is factored with the library's own thread count.  Two
-    blocks are factored with LAPACK pinned to one thread
-    (:func:`_lapack.single_threaded`), block 0 on the calling thread and
-    block 1 on a helper thread at the same time, which two cores finish
-    sooner than the two blocks one after the other on both.  The helper is
-    joined before this returns or raises, and an exception of block 0 comes
-    before one of block 1.  With one usable CPU the pinned blocks run one
-    after the other, so the factors are the same bit for bit whatever the
-    CPU count or the thread count the process started with.  Where the
-    library's thread count cannot be set, they run one after the other on
-    its threads.
+    Returns ``(anorm, rcond)``, or ``(anorm, exc)`` with the LinAlgError of
+    a failed Cholesky factorization, which :func:`assemble` raises once
+    every block has ended; a non-finite block raises AssemblyError here,
+    before it is factored.
     """
-    jobs = [(c, lower, anorm) for (c, lower), anorm in zip(factors, norms)]
+    anorm = _norm(c, lower)
+    try:
+        cho_factor(c, lower)
+    except np.linalg.LinAlgError as exc:
+        return anorm, exc
+    return anorm, pocon(c, anorm, lower)
+
+
+def _two_threads(first, second) -> tuple:
+    """``(first(), second())``, the first on the calling thread and the second
+    on a helper thread at the same time.
+
+    The helper is joined before this returns or raises, and an exception of
+    ``first`` (KeyboardInterrupt included) comes before one of ``second``.
+    """
+    outcome = []
+
+    def run_second():
+        try:
+            outcome.append(second())
+        except BaseException as exc:  # raised on the calling thread after the join
+            outcome.append(exc)
+
+    helper = threading.Thread(target=run_second)
+    helper.start()
+    try:
+        result = first()
+    finally:
+        helper.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return result, outcome[0]
+
+
+def _side_by_side(fn, jobs: list) -> list:
+    """``fn(*job)`` of each of one or two LAPACK jobs, in job order.
+
+    A single job runs with the library's own thread count.  Two jobs run
+    with LAPACK pinned to one thread (:func:`_lapack.single_threaded`), the
+    first on the calling thread and the second on a helper thread at the
+    same time (:func:`_two_threads`), which two cores finish sooner than the
+    two one after the other on both.  With one usable CPU the pinned jobs
+    run one after the other, so the results are the same bit for bit
+    whatever the CPU count or the thread count the process started with.
+    Where the library's thread count cannot be set, they run one after the
+    other on its threads.
+    """
     if len(jobs) == 1:
-        return [_factor_block(*jobs[0])]
+        return [fn(*jobs[0])]
     with single_threaded() as pinned:
         if not pinned or _usable_cpus() == 1:
-            return [_factor_block(*job) for job in jobs]
-        second = []
-
-        def factor_second():
-            try:
-                second.append(_factor_block(*jobs[1]))
-            except Exception as exc:  # raised on the calling thread after the join
-                second.append(exc)
-
-        helper = threading.Thread(target=factor_second)
-        helper.start()
-        try:
-            first = _factor_block(*jobs[0])
-        finally:
-            helper.join()
-    if isinstance(second[0], Exception):
-        raise second[0]
-    return [first, *second]
+            return [fn(*job) for job in jobs]
+        return list(_two_threads(lambda: fn(*jobs[0]), lambda: fn(*jobs[1])))
 
 
 def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
@@ -486,33 +536,40 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
 
     The blocks over the orbits of the body's involution (the identity for
     a body without one) are filled as :func:`_fill_lower` says, one
-    triangle each: only these are computed, checked and factored, and the
-    1-norms come from :func:`_norms`.  Block 1, the smaller, is factored as
-    U^T U in the upper triangle of its view; an empty block is neither
-    allocated nor factored.  The bytes to be allocated are checked against
+    triangle each: only these are computed, checked and factored.  Block
+    1, the smaller, is factored as U^T U in the upper triangle of its view;
+    an empty block is neither allocated nor factored.  The bytes to be allocated are checked against
     physical and available memory first.  ``condition`` is the 1-norm
     estimate max_t |Mt_t| * max_t 1 / (rcond_t |Mt_t|) of the
     block-diagonal system; with one block, 1 / rcond.  It is a lower bound
     on the condition number that depends on the basis of the split: 157.71
     against an exact 208.83 for the octahedron frame at ell 0.01 and
     resolution 64, and 0.88-1.56 times the identity case's estimate over
-    the suite bodies.  The factorization runs as :func:`_factor_blocks` says.
+    the suite bodies.
+
+    The fill runs on the calling thread and, for a large enough body, on
+    one helper thread as well (:func:`_fill_lower`).  Each block's 1-norm,
+    Cholesky factorization and condition estimate (:func:`_factor_block`)
+    run as :func:`_side_by_side` says: for two blocks with more than one
+    usable CPU, block 0 on the calling thread and block 1 on a helper, one
+    LAPACK thread each.  No thread is left running when this returns or
+    raises.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory, and
     SingularSystemError if a Cholesky factorization fails (for the first
-    failed block, once every block's factorization has ended).
+    failed block, once every block's factorization has ended, and only if
+    no block is non-finite).
     """
     orbits = _Orbits.of(dbody.involution or Involution.identity(dbody.n_nodes))
     mt = _empty_matrix(*orbits.orders)
     _fill_lower(mt, dbody, kernel, orbits)
     factors = _triangles(mt, orbits.orders)
-    norms = _norms(factors)
+    norms, rconds = zip(*_side_by_side(_factor_block, factors))
+    for rcond in rconds:
+        if isinstance(rcond, np.linalg.LinAlgError):
+            raise SingularSystemError(f"kernel matrix factorization failed: {rcond}")
     top = max(norms)
-    try:
-        rconds = _factor_blocks(factors, norms)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"kernel matrix factorization failed: {exc}") from None
     condition = 0.0
     for rcond, anorm in zip(rconds, norms):
         condition = max(condition, top / anorm / rcond if rcond > 0.0 else np.inf)

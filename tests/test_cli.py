@@ -252,6 +252,16 @@ class TestFreefallCommand:
         assert any(e["im"] != 0.0 for e in eigs)
         assert all(st["omega"][0] == pytest.approx(0.0, abs=1e-8) for st in trans)
 
+    @pytest.mark.parametrize("axis", ["1e200", "1e-170", "2", "-3e5"])
+    def test_tilt_column_independent_of_axis_length(self, runner, bent_file, axis):
+        args = ["freefall", bent_file, "--resolution", "8", "--axis", "0", "0"]
+        ref = runner.invoke(main, [*args, "1"])
+        result = runner.invoke(main, [*args, axis])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        tilts = [st["tilt_deg"] for st in json.loads(result.stdout)["result"]["states"]]
+        assert tilts == [st["tilt_deg"] for st in json.loads(ref.stdout)["result"]["states"]]
+
 
 class TestKernelCommand:
     def test_eval_at_origin(self, runner):
@@ -279,6 +289,26 @@ class TestKernelCommand:
             (1.0 - np.exp(-2.0)) / (8.0 * pi), rel=1e-14
         )
         assert data["result"]["g_classical"] == pytest.approx(1.0 / (8.0 * pi))
+
+
+    @pytest.mark.parametrize("x, s, g", [
+        (1e200, 1e201, 1.0 / (4.0 * pi * 1e200)),
+        (1e-170, 1e-169, 1.0 / (4.0 * pi * 0.1)),
+    ], ids=["huge", "tiny"])
+    def test_eval_far_and_near_without_overflow(self, runner, x, s, g):
+        result = runner.invoke(main, ["kernel", "eval", "--x", "0", str(x), "0"])
+        assert result.exit_code == 0
+        assert result.stderr == ""  # no numpy warnings
+        data = json.loads(result.stdout)["result"]
+        assert data["s"] == pytest.approx(s, rel=1e-15)
+        assert data["g"] == pytest.approx(g, rel=1e-15)
+        assert data["g_classical"] == pytest.approx(1.0 / (4.0 * pi * x), rel=1e-15)
+        z = np.array(data["Z"])
+        assert np.all(np.diag(z) > 0.0)
+        # the far field is the classical Oseen tensor, (I + xhat xhat) / (8 pi |x|)
+        if x > 1.0:
+            assert np.diag(z) == pytest.approx(np.array([1.0, 2.0, 1.0]) / (8.0 * pi * x),
+                                               rel=1e-15)
 
 
 class TestTrajectoryCommands:
@@ -349,6 +379,16 @@ class TestTrajectoryCommands:
              "--t-end", "0.1"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("g0", [["1e308", "1e308", "0"], ["1e-170", "1e-170", "0"]],
+                             ids=["huge", "tiny"])
+    def test_fall_sim_scales_g0(self, runner, bent_file, g0):
+        args = ["fall-sim", bent_file, "--resolution", "8", "--dt", "0.01", "--t-end", "0.05"]
+        ref = runner.invoke(main, [*args, "--g0", "1", "1", "0"])
+        result = runner.invoke(main, [*args, "--g0", *g0])
+        assert ref.exit_code == 0
+        assert result.exit_code == 0
+        assert result.stdout == ref.stdout
 
     def test_fixed_points_octahedron(self, runner, octa_file):
         result = runner.invoke(
@@ -450,6 +490,20 @@ class TestErrorSlugs:
                    "--tol-trans", "inf"],
         )
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("args, group", [
+        (["--rho", "1", "--mu", "1", "--gravity", "1", "--d", "1e200", "--l", "1"], "W"),
+        (["--rho", "1e300", "--mu", "1e-300", "--gravity", "1", "--d", "1", "--l", "1"], "W"),
+        (["--rho", "1e200", "--mu", "1e-50", "--gravity", "1", "--d", "1e-50", "--l", "1"],
+         "Re"),
+        (["--rho", "1", "--mu", "1", "--gravity", "1", "--d", "1e-200", "--l", "1e200"], "ell"),
+    ], ids=["W-power", "W-product", "Re", "ell"])
+    def test_overflowing_group_is_invalid(self, runner, args, group):
+        result = runner.invoke(main, ["nondim", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error[invalid-argument]: {group} = ")
+        assert "overflows" in result.stderr
+        assert result.stdout == ""
 
     def test_slugs_distinct_and_non_empty(self):
         classes = [HyperstokesError, *HyperstokesError.__subclasses__()]

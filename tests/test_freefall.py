@@ -279,6 +279,12 @@ class TestTiltAngle:
         g = np.array([0.5, np.sqrt(3) / 2.0, 0.0])
         assert tilt_angle(self._state(-g), [1.0, 0.0, 0.0]) == pytest.approx(60.0, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324, 1.7e308])
+    def test_axis_length_does_not_matter(self, scale):
+        g = np.array([0.5, np.sqrt(3) / 2.0, 0.0])
+        axis = np.array([1.0, 0.0, 0.0])
+        assert tilt_angle(self._state(g), scale * axis) == tilt_angle(self._state(g), axis)
+
     def test_zero_axis_rejected(self):
         with pytest.raises(InvalidArgument):
             tilt_angle(self._state([1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])

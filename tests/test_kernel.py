@@ -1,5 +1,7 @@
 """Kernel closed forms: limits, PDE residuals, branch continuity, decay."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from hyperstokes.kernel import (
     _series_coeffs,
     dyadic_factor,
     identity_factor,
+    scaled_norm,
 )
 
 from fdtools import bilaplacian, divergence, gradient, laplacian, richardson4
@@ -35,6 +38,27 @@ def neville_to_zero(svals, fvals):
     """Polynomial extrapolation of samples (s, f(s)) to s = 0."""
     coeffs = np.polyfit(svals, fvals, len(svals) - 1)
     return coeffs[-1]
+
+
+class TestScaledNorm:
+    def test_same_bits_as_plain_norm(self, rng):
+        x = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-100, 100, size=(500, 1))
+        assert np.array_equal(scaled_norm(x, axis=-1), np.linalg.norm(x, axis=-1))
+        for v in x[:50]:
+            assert scaled_norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1.5e308, 5e-324])
+    def test_no_overflow_or_underflow(self, scale):
+        v = np.array([3.0, 0.0, -4.0]) * (scale / 5.0) if scale > 1e-300 else np.array(
+            [scale, 0.0, 0.0])
+        expected = scale
+        assert scaled_norm(v) == pytest.approx(expected, rel=1e-15)
+        assert scaled_norm(np.stack([v, v]), axis=-1) == pytest.approx([expected] * 2,
+                                                                        rel=1e-15)
+
+    def test_zero_vector(self):
+        assert scaled_norm(np.zeros(3)) == 0.0
+        assert np.array_equal(scaled_norm(np.zeros((2, 3)), axis=-1), np.zeros(2))
 
 
 class TestGreenScalar:
@@ -176,6 +200,17 @@ class TestStokeslet:
     def test_pressure_singular_at_origin(self):
         with pytest.raises(SingularPointError):
             stokeslet_pressure(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e120, 1e-120, 1e-150])  # |x|^3 out of range
+    def test_pressure_far_and_near_without_overflow(self, scale):
+        x = np.array([0.6, 0.0, 0.8])
+        h = np.array([1.0, 2.0, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = stokeslet_pressure(scale * x, h)
+            normal = stokeslet_pressure(scale * x, np.array([0.0, 1.0, 0.0]))
+        assert p == pytest.approx(stokeslet_pressure(x, h) / scale**2, rel=1e-15)
+        assert normal == 0.0
 
 
 class TestBranchesAndFactors:

@@ -365,6 +365,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("name, resolution, cpus", [
         ("tripod", 8, 2),  # one column block
+        ("helix", 64, 2),  # several column blocks, at most two chunks of evaluations
         ("helix", 128, 1),  # several column blocks, one CPU
     ])
     def test_single_worker_fill_starts_no_thread_pool(self, bodies, kernel, monkeypatch,
@@ -378,7 +379,7 @@ class TestAssemble:
         def fill(orbits):
             mt = nan_matrix(*orbits.orders)
             assert mob._fill_lower(mt, dbody, kernel, orbits) is None
-            norms = mob._norms(mob._triangles(mt, orbits.orders))
+            norms = [mob._norm(c, lower) for c, lower in mob._triangles(mt, orbits.orders)]
             assert len(norms) == 1 + (orbits.orders[1] > 0) and np.all(np.isfinite(norms))
             return mt
 
@@ -437,6 +438,87 @@ class TestAssemble:
         dbody = discretize(body, 4)
         with pytest.raises(AssemblyError):
             assemble(dbody, kernel)
+
+
+class TestTwoWorkerFill:
+    """The fill's column blocks are shared by the calling thread and one helper."""
+
+    @pytest.mark.parametrize("name, resolution, chunk", [
+        ("helix", 256, None),  # point-free: pair columns only
+        ("tripod", 64, 2_000),  # fixed nodes: pair and fixed columns, in small chunks
+    ])
+    def test_two_workers_fill_the_same_triangles(self, bodies, kernel, monkeypatch,
+                                                 name, resolution, chunk):
+        import hyperstokes.mobility as mob
+
+        if chunk is not None:
+            monkeypatch.setattr(mob, "_ASSEMBLY_CHUNK_PAIRS", chunk)
+        dbody = discretize(bodies[name], resolution)
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+
+        def fill(orbits, cpus):
+            monkeypatch.setattr(mob, "_usable_cpus", lambda: cpus)
+            mt = nan_matrix(*orbits.orders)
+            mob._fill_lower(mt, dbody, kernel, orbits)
+            return mt
+
+        for inv in (Involution.identity(dbody.n_nodes), dbody.involution):
+            orbits = mob._Orbits.of(inv)
+            ref = fill(orbits, 1)
+            assert started == []
+            for _ in range(2):  # each run interleaves the column blocks anew
+                assert np.array_equal(fill(orbits, 2), ref, equal_nan=True)
+            assert len(started) == 2
+            started.clear()
+
+    @pytest.mark.parametrize("failing", ["calling", "helper"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_in_one_worker_stops_the_other(self, kernel, monkeypatch, failing, error):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 256)
+        orbits = mob._Orbits.of(dbody.involution)
+        blocks = len(mob._column_blocks(len(orbits.nodes), orbits.pairs))
+        factors = mob._factors_over_s
+        failed = threading.Event()
+        calls = {"calling": 0, "helper": 0}
+
+        def flaky(s, kern):
+            main = threading.current_thread() is threading.main_thread()
+            worker = "calling" if main else "helper"
+            if worker == failing:
+                failed.set()
+                raise error("injected")
+            if not failed.wait(timeout=30):  # the other worker fails first
+                raise AssertionError("the fill ran on one thread")
+            calls[worker] += 1
+            return factors(s, kern)
+
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mob, "_factors_over_s", flaky)
+        alive = threading.active_count()
+        with pytest.raises(error, match="injected"):
+            mob._fill_lower(nan_matrix(*orbits.orders), dbody, kernel, orbits)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        assert threading.active_count() == alive
+        # a pair column block evaluates twice; the other worker ends after the
+        # block it is in, with most of the blocks never taken
+        other = "helper" if failing == "calling" else "calling"
+        assert calls[other] <= 4 < 2 * blocks
 
 
 class TestSolveRigid:
@@ -799,11 +881,74 @@ class TestPinnedSplitFactorization:
             seen.append((lower, threading.current_thread() is threading.main_thread(), get()))
             return factor(a, lower)
 
+        norm = mob.lansy
+        normed = []
+
+        def norm_spy(c, lower=True):
+            normed.append((lower, threading.current_thread() is threading.main_thread()))
+            return norm(c, lower)
+
         monkeypatch.setattr(mob, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mob, "cho_factor", spy)
+        monkeypatch.setattr(mob, "lansy", norm_spy)
         assemble(dbody, kernel)
         assert sorted(seen) == [(False, False, 1), (True, True, 1)]
+        # each block's 1-norm is taken on the thread that factors it
+        assert sorted(normed) == [(False, False), (True, True)]
         assert get() == 2
+
+    def test_solves_side_by_side_give_the_same_bits(self, bodies, kernel, monkeypatch,
+                                                    openblas_threads, rng):
+        import hyperstokes.mobility as mob
+
+        get, set_ = openblas_threads
+        set_(2)
+        dbody = discretize(bodies["helix"], 256)
+        km = assemble(dbody, kernel)
+        u = rng.normal(size=(3 * dbody.n_nodes, 6))
+        solve, seen = mob.cho_solve, []
+
+        def spy(c, b, lower=True):
+            seen.append((lower, threading.current_thread() is threading.main_thread(), get()))
+            return solve(c, b, lower)
+
+        monkeypatch.setattr(mob, "cho_solve", spy)
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: 2)
+        pinned = km.solve(u)
+        assert sorted(seen) == [(False, False, 1), (True, True, 1)]
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: 1)
+        in_turn = km.solve(u)
+        monkeypatch.setattr(_lapack, "_threads", None)  # not pinned: the library's threads
+        seen.clear()
+        unpinned = km.solve(u)
+        assert seen == [(True, True, 2), (False, True, 2)]
+        assert np.array_equal(pinned, in_turn)
+        assert np.array_equal(pinned, unpinned)
+        assert get() == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_block_wins_over_failed_factorization(self, bodies, kernel,
+                                                             monkeypatch, cpus):
+        import hyperstokes.mobility as mob
+
+        fill = mob._fill_lower
+
+        def nan_in_block_1(mt, dbody, kern, orbits):
+            fill(mt, dbody, kern, orbits)
+            _, (minus, lower) = mob._triangles(mt, orbits.orders)
+            assert not lower
+            minus[0, -1] = np.nan
+
+        def refuse(a, lower=True):
+            raise np.linalg.LinAlgError("matrix is not positive definite (leading minor 3)")
+
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mob, "_fill_lower", nan_in_block_1)
+        monkeypatch.setattr(mob, "cho_factor", refuse)
+        alive = threading.active_count()
+        with pytest.raises(AssemblyError, match="non-finite"):
+            assemble(discretize(bodies["helix"], 64), kernel)
+        assert threading.active_count() == alive
 
     def test_failed_block_1_is_raised_after_the_helper_ends(self, bodies, kernel, monkeypatch,
                                                             openblas_threads):
