@@ -48,6 +48,9 @@ __all__ = [
     "dyadic_factor",
 ]
 
+# below this norm the sum of squares is subnormal and has lost digits
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class HyperKernel:
@@ -89,15 +92,21 @@ def scaled_norm(x, axis=None) -> np.ndarray:
     """``np.linalg.norm(x, axis=axis)`` of one vector (``axis=None``) or of the
     vectors along the last axis (``axis=-1``), without overflow or underflow.
 
-    Each vector is scaled by the power of two that brings its largest
-    component into [0.5, 1) before the plain norm is taken, and the norm is
-    scaled back.  Scaling by a power of two is exact, so the result has the
-    plain norm's bits wherever its sum of squares neither overflows nor
-    underflows, and is right where it would: |(1e200, 0, 0)| is 1e200, not
+    The plain norm is kept wherever its sum of squares stays in the range
+    of normal floats.  A vector whose sum of squares leaves it is scaled by
+    the power of two that brings its largest component into [0.5, 1), and
+    its norm is scaled back, which is exact: |(1e200, 0, 0)| is 1e200, not
     inf, and |(1e-170, 0, 0)| is 1e-170, not 0.
     """
-    _, exponent = np.frexp(np.abs(x).max(axis=-1))
-    return np.ldexp(np.linalg.norm(np.ldexp(x, -exponent[..., None]), axis=axis), exponent)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowed sum of squares is redone below
+        r = np.asarray(np.linalg.norm(x, axis=axis))
+    redo = ~((_SQRT_TINY <= r) & (r < np.inf))
+    if redo.any():
+        v = x[redo]
+        _, exponent = np.frexp(np.abs(v).max(axis=-1))
+        r[redo] = np.ldexp(np.linalg.norm(np.ldexp(v, -exponent[:, None]), axis=-1), exponent)
+    return r[()]
 
 
 @lru_cache(maxsize=None)
@@ -264,23 +273,24 @@ def stokeslet_pressure(x, h) -> np.ndarray:
 
     Identical to the classical Stokeslet pressure (the screening term does
     not alter the pressure); harmonic and singular at the origin.  Where
-    |x|^3 or h . x leaves the range of normal floats, p is taken from
+    |x|^3 or h . x leaves the range of normal floats, p is redone from
     x = 2^e u, |u| in [0.5, 1), as 2^-2e (h . u) / (4 pi |u|^3).
     """
     x = _as_points(x)
     h = np.broadcast_to(_as_points(h), x.shape)
-    r = scaled_norm(x, axis=-1)
+    r = np.asarray(scaled_norm(x, axis=-1))
     if np.any(r == 0.0):
         raise SingularPointError("Stokeslet pressure is singular at x = 0")
-    mantissa, exponent = np.frexp(r)
-    with np.errstate(all="ignore"):  # out-of-range entries are taken from the scaled form
+    with np.errstate(all="ignore"):  # an entry out of range is redone below
         cube = r**3
-        plain = np.einsum("...i,...i->...", x, h) / (4.0 * pi * cube)
-        u = np.ldexp(x, -exponent[..., None])
-        scaled = np.ldexp(np.einsum("...i,...i->...", u, h) / (4.0 * pi * mantissa**3),
-                          -2 * exponent)
-    normal = (np.finfo(float).tiny <= cube) & (cube < np.inf) & np.isfinite(plain)
-    return np.where(normal, plain, scaled)[()]
+        p = np.asarray(np.einsum("...i,...i->...", x, h) / (4.0 * pi * cube))
+    redo = ~((np.finfo(float).tiny <= cube) & (cube < np.inf) & np.isfinite(p))
+    if redo.any():
+        mantissa, exponent = np.frexp(r[redo])
+        u = np.ldexp(x[redo], -exponent[:, None])
+        p[redo] = np.ldexp(np.einsum("...i,...i->...", u, h[redo]) / (4.0 * pi * mantissa**3),
+                           -2 * exponent)
+    return p[()]
 
 
 def classical_oseen(x) -> np.ndarray:

@@ -110,10 +110,7 @@ class KernelMatrix:
         block's signs s = +-diag(Q), and the block's components of g_k for
         a fixed node.  Then y = sum_t B_t z_t: y_k = (z+_k + z-_k) / sqrt(2)
         and y_sigma(k) = s+ (z+_k - z-_k) / sqrt(2) for a pair, y_k = z_k
-        for a fixed node.  The blocks' solves run as :func:`_side_by_side`
-        says: for two blocks with more than one usable CPU, side by side on
-        one LAPACK thread each, which gives the same bits as one after the
-        other.
+        for a fixed node.  The blocks' solves run as :func:`_side_by_side` says.
 
         Raises InvalidArgument for data of another shape or with a
         non-finite entry.
@@ -305,17 +302,14 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
     e_k (x) r_i of the module docstring, and the identity case fills Mt.
 
     The column blocks are taken in order from one shared iterator by the
-    calling thread and, when more than one CPU is usable and the fill holds
-    more than two chunks of ``_ASSEMBLY_CHUNK_PAIRS`` evaluations (n^2 >
-    2 chunks for n orbits; the fill evaluates n^2 / 2 to n^2 node pairs),
-    by one helper thread as well: numpy releases the interpreter lock in
-    its array loops, so the two share the work on two cores.  Each column
-    block writes only its own elements, so the triangles are the same bit
-    for bit whatever the interleaving.  If either worker raises
-    (KeyboardInterrupt included), the other stops after its current column
-    block; the helper is joined before this returns or raises.  The
-    direct pairs and the cross pairs of the pair columns together cover
-    every pair of nodes, so the spacing check sees all of them.
+    calling thread and, with more than one usable CPU and more than two
+    column blocks, by a helper thread as well (:func:`_two_threads`); numpy
+    releases the interpreter lock in its array loops.  Each column block
+    writes only its own elements, so the triangles are the same bit for
+    bit whatever the interleaving.  If either worker raises, the other
+    stops after its current column block.  The direct pairs and the cross
+    pairs of the pair columns together cover every pair of nodes, so the
+    spacing check sees all of them.
 
     Raises AssemblyError for (near-)coincident nodes.
     """
@@ -413,14 +407,15 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
                       where=np.tri(len(square), dtype=bool))
         return spacing, diam
 
-    blocks, taken = iter(_column_blocks(n, p)), threading.Lock()
+    blocks = _column_blocks(n, p)
+    untaken, taken = iter(blocks), threading.Lock()
     stop, extents = threading.Event(), []
 
     def fill_blocks():
         try:
             while not stop.is_set():
                 with taken:
-                    block = next(blocks, None)
+                    block = next(untaken, None)
                 if block is None:
                     return
                 extents.append(write(*block))
@@ -428,7 +423,7 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
             stop.set()  # the other worker ends after its current column block
             raise
 
-    if _usable_cpus() > 1 and n * n > 2 * _ASSEMBLY_CHUNK_PAIRS:
+    if _usable_cpus() > 1 and len(blocks) > 2:  # below three, the thread start eats the gain
         _two_threads(fill_blocks, fill_blocks)
     else:
         fill_blocks()
@@ -488,8 +483,10 @@ def _two_threads(first, second) -> tuple:
     """``(first(), second())``, the first on the calling thread and the second
     on a helper thread at the same time.
 
-    The helper is joined before this returns or raises, and an exception of
-    ``first`` (KeyboardInterrupt included) comes before one of ``second``.
+    The helper has ended before this returns or raises: an exception on the
+    calling thread (KeyboardInterrupt included, also one that arrives during
+    the join) is raised once the helper has ended.  An exception of
+    ``first`` comes before one of ``second``.
     """
     outcome = []
 
@@ -504,7 +501,14 @@ def _two_threads(first, second) -> tuple:
     try:
         result = first()
     finally:
-        helper.join()
+        interrupt = None
+        while helper.is_alive():
+            try:
+                helper.join()
+            except BaseException as exc:  # wait on: the helper must end first
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     return result, outcome[0]
@@ -536,24 +540,17 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
 
     The blocks over the orbits of the body's involution (the identity for
     a body without one) are filled as :func:`_fill_lower` says, one
-    triangle each: only these are computed, checked and factored.  Block
-    1, the smaller, is factored as U^T U in the upper triangle of its view;
-    an empty block is neither allocated nor factored.  The bytes to be allocated are checked against
-    physical and available memory first.  ``condition`` is the 1-norm
-    estimate max_t |Mt_t| * max_t 1 / (rcond_t |Mt_t|) of the
-    block-diagonal system; with one block, 1 / rcond.  It is a lower bound
-    on the condition number that depends on the basis of the split: 157.71
-    against an exact 208.83 for the octahedron frame at ell 0.01 and
-    resolution 64, and 0.88-1.56 times the identity case's estimate over
-    the suite bodies.
-
-    The fill runs on the calling thread and, for a large enough body, on
-    one helper thread as well (:func:`_fill_lower`).  Each block's 1-norm,
-    Cholesky factorization and condition estimate (:func:`_factor_block`)
-    run as :func:`_side_by_side` says: for two blocks with more than one
-    usable CPU, block 0 on the calling thread and block 1 on a helper, one
-    LAPACK thread each.  No thread is left running when this returns or
-    raises.
+    triangle each: only these are computed, checked and factored, each by
+    :func:`_factor_block` as :func:`_side_by_side` says.  Block 1, the
+    smaller, is factored as U^T U in the upper triangle of its view; an
+    empty block is neither allocated nor factored.  The bytes to be
+    allocated are checked against physical and available memory first.
+    ``condition`` is the 1-norm estimate max_t |Mt_t| * max_t 1 / (rcond_t
+    |Mt_t|) of the block-diagonal system; with one block, 1 / rcond.  It is
+    a lower bound on the condition number that depends on the basis of the
+    split: 157.71 against an exact 208.83 for the octahedron frame at ell
+    0.01 and resolution 64, and 0.88-1.56 times the identity case's
+    estimate over the suite bodies.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory, and

@@ -56,6 +56,16 @@ class TestScaledNorm:
         assert scaled_norm(np.stack([v, v]), axis=-1) == pytest.approx([expected] * 2,
                                                                         rel=1e-15)
 
+    def test_only_out_of_range_vectors_are_redone(self, rng):
+        x = rng.normal(size=(6, 3))
+        x[1] *= 1e200
+        x[4] *= 1e-170
+        r = scaled_norm(x, axis=-1)
+        kept = [0, 2, 3, 5]
+        assert np.array_equal(r[kept], np.linalg.norm(x[kept], axis=-1))
+        assert r[1] == pytest.approx(1e200 * np.linalg.norm(x[1] / 1e200), rel=1e-15)
+        assert r[4] == pytest.approx(1e-170 * np.linalg.norm(x[4] / 1e-170), rel=1e-15)
+
     def test_zero_vector(self):
         assert scaled_norm(np.zeros(3)) == 0.0
         assert np.array_equal(scaled_norm(np.zeros((2, 3)), axis=-1), np.zeros(2))
@@ -200,6 +210,16 @@ class TestStokeslet:
     def test_pressure_singular_at_origin(self):
         with pytest.raises(SingularPointError):
             stokeslet_pressure(np.zeros(3), np.ones(3))
+
+    def test_pressure_has_the_plain_formula_bits_in_range(self, rng):
+        # 2^-2e (h . u) / (4 pi |u|^3) differs from it in the last bit at some
+        # points (numpy's |x|**3 is pow, which is not exact under scaling)
+        x = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-30, 30, size=(20_000, 1))
+        h = rng.normal(size=(20_000, 3))
+        plain = np.einsum("...i,...i->...", x, h) / (FOUR_PI * np.linalg.norm(x, axis=-1)**3)
+        assert np.array_equal(stokeslet_pressure(x, h), plain)
+        for xi, hi, pi_ in zip(x[:200], h[:200], plain):
+            assert stokeslet_pressure(xi, hi) == pi_
 
     @pytest.mark.parametrize("scale", [1e150, 1e120, 1e-120, 1e-150])  # |x|^3 out of range
     def test_pressure_far_and_near_without_overflow(self, scale):

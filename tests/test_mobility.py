@@ -365,7 +365,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("name, resolution, cpus", [
         ("tripod", 8, 2),  # one column block
-        ("helix", 64, 2),  # several column blocks, at most two chunks of evaluations
+        ("tripod", 16, 2),  # the CLI default: two column blocks, too few to share
         ("helix", 128, 1),  # several column blocks, one CPU
     ])
     def test_single_worker_fill_starts_no_thread_pool(self, bodies, kernel, monkeypatch,
@@ -519,6 +519,35 @@ class TestTwoWorkerFill:
         # block it is in, with most of the blocks never taken
         other = "helper" if failing == "calling" else "calling"
         assert calls[other] <= 4 < 2 * blocks
+
+    def test_interrupted_join_waits_for_the_helper(self, kernel, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody = discretize(helix(0.2, 0.1, 3), 256)
+        orbits = mob._Orbits.of(dbody.involution)
+        factors, join = mob._factors_over_s, threading.Thread.join
+        released, helper_done = threading.Event(), []
+
+        def held(s, kern):
+            if threading.current_thread() is not threading.main_thread():
+                assert released.wait(timeout=30)  # until the calling thread is interrupted
+                helper_done.append(None)
+            return factors(s, kern)
+
+        def interrupted_join(thread, timeout=None):
+            if not released.is_set():
+                released.set()
+                raise KeyboardInterrupt("during the join")
+            join(thread, timeout)
+
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mob, "_factors_over_s", held)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        alive = threading.active_count()
+        with pytest.raises(KeyboardInterrupt, match="during the join"):
+            mob._fill_lower(nan_matrix(*orbits.orders), dbody, kernel, orbits)
+        # the helper ended its column block before the interrupt was raised
+        assert helper_done and threading.active_count() == alive
 
 
 class TestSolveRigid:
@@ -949,6 +978,40 @@ class TestPinnedSplitFactorization:
         with pytest.raises(AssemblyError, match="non-finite"):
             assemble(discretize(bodies["helix"], 64), kernel)
         assert threading.active_count() == alive
+
+    def test_interrupted_solve_restores_the_count_after_the_helper(self, bodies, kernel,
+                                                                   monkeypatch,
+                                                                   openblas_threads, rng):
+        import hyperstokes.mobility as mob
+
+        get, set_ = openblas_threads
+        set_(2)
+        dbody = discretize(bodies["helix"], 64)
+        km = assemble(dbody, kernel)
+        solve, join = mob.cho_solve, threading.Thread.join
+        released, helper_counts = threading.Event(), []
+
+        def held(c, b, lower=True):
+            if threading.current_thread() is not threading.main_thread():
+                assert released.wait(timeout=30)  # until the calling thread is interrupted
+                helper_counts.append(get())
+            return solve(c, b, lower)
+
+        def interrupted_join(thread, timeout=None):
+            if not released.is_set():
+                released.set()
+                raise KeyboardInterrupt("during the join")
+            join(thread, timeout)
+
+        monkeypatch.setattr(mob, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mob, "cho_solve", held)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        alive = threading.active_count()
+        with pytest.raises(KeyboardInterrupt, match="during the join"):
+            km.solve(rng.normal(size=3 * dbody.n_nodes))
+        # the helper's potrs ran pinned to the end, and only then was the count restored
+        assert helper_counts == [1] and threading.active_count() == alive
+        assert get() == 2
 
     def test_failed_block_1_is_raised_after_the_helper_ends(self, bodies, kernel, monkeypatch,
                                                             openblas_threads):
