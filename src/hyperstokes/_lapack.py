@@ -1,14 +1,16 @@
 """Cholesky factorization, solve, condition estimate and 1-norm: LAPACK potrf, potrs, pocon, lansy.
 
-The four routines are bound with ctypes to the OpenBLAS that numpy itself
-loaded (the ``numpy.libs/libscipy_openblas64_*`` library of numpy 2 wheels,
-whose LAPACKE entry points take 64-bit integers), so the solver runs without
-importing scipy.  The ``_work`` entry points are used: the plain LAPACKE ones
-scan the matrix for NaN on every call.  Where numpy's library or one of the
-symbols is missing (other wheel layouts, MKL, a system BLAS), the same
-routines come from scipy, imported only then: ``scipy.linalg.lapack``, and
-``dlansy``, which it does not wrap, from ``scipy.linalg.cython_lapack``.
-The two sources differ only in :func:`_load`.
+The four routines are LAPACK's Fortran entry points ``dpotrf``, ``dpotrs``,
+``dpocon`` and ``dlansy``, called through ctypes by :func:`_bind`.  They are
+taken from the OpenBLAS that numpy itself loaded (the
+``numpy.libs/libscipy_openblas64_*`` library of numpy 2 wheels, whose
+symbols take 64-bit integers), so the solver runs without importing scipy.
+Where numpy's library or one of the symbols is missing (other wheel
+layouts, MKL, a system BLAS), the same routines come from the capsules of
+``scipy.linalg.cython_lapack``, with C ints, imported only then.  The two
+sources differ only in where the pointers come from (:func:`_load`); they
+are different OpenBLAS builds, so their results agree to roundoff, not bit
+for bit.
 
 Both OpenBLAS builds also export their thread-count calls, which
 :func:`single_threaded` uses to pin the library to one thread while two
@@ -31,7 +33,6 @@ import numpy as np
 
 __all__ = ["cho_factor", "cho_solve", "pocon", "lansy", "single_threaded", "SOURCE"]
 
-_COL_MAJOR = 102  # LAPACK_COL_MAJOR
 _ALIGN = 64  # bytes; pocon's and lansy's work arrays always start on this boundary
 
 
@@ -60,6 +61,55 @@ def _thread_calls(lib, suffix: str = ""):
     return get, set_
 
 
+def _bind(routine, integer):
+    """(potrf, potrs, pocon, lansy) over LAPACK's Fortran entry points.
+
+    ``routine(name)`` is the address of the Fortran routine ``name``, such
+    as ``"dpotrf"``, and ``integer`` the ctypes type of its integers.  Every
+    argument goes by reference, and each character argument adds its hidden
+    length, a trailing size_t of 1, as gfortran lays the call out.  The work
+    arrays of pocon and lansy come from :func:`_aligned_empty`.
+    """
+    ptr, length, double = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_double
+
+    def fortran(name, pointers, chars, restype=None):
+        return ctypes.CFUNCTYPE(restype, *[ptr] * pointers, *[length] * chars)(routine(name))
+
+    dpotrf, dpotrs = fortran("dpotrf", 5, 1), fortran("dpotrs", 8, 1)
+    dpocon, dlansy = fortran("dpocon", 9, 1), fortran("dlansy", 6, 2, double)
+
+    def ref(value):
+        return ctypes.byref(integer(value))
+
+    def uplo(lower):
+        return b"L" if lower else b"U"
+
+    def potrf(a, lower):
+        info = integer()
+        dpotrf(uplo(lower), ref(len(a)), a.ctypes.data, ref(_leading(a)), ctypes.byref(info), 1)
+        return info.value
+
+    def potrs(c, b, lower):
+        n, info = len(c), integer()
+        dpotrs(uplo(lower), ref(n), ref(1 if b.ndim == 1 else b.shape[1]), c.ctypes.data,
+               ref(_leading(c)), b.ctypes.data, ref(max(n, 1)), ctypes.byref(info), 1)
+        return info.value
+
+    def pocon(c, anorm, lower):
+        n, rcond, info = len(c), double(), integer()
+        work, iwork = _aligned_empty(3 * n, np.float64), _aligned_empty(n, integer)
+        dpocon(uplo(lower), ref(n), c.ctypes.data, ref(_leading(c)), ctypes.byref(double(anorm)),
+               ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data, ctypes.byref(info), 1)
+        return rcond.value, info.value
+
+    def lansy(c, lower):
+        work = _aligned_empty(len(c), np.float64)
+        return dlansy(b"1", uplo(lower), ref(len(c)), c.ctypes.data, ref(_leading(c)),
+                      work.ctypes.data, 1, 1)
+
+    return potrf, potrs, pocon, lansy
+
+
 def _from_numpy_openblas():
     """(potrf, potrs, pocon, lansy, threads) bound to numpy's OpenBLAS; raises where it is missing.
 
@@ -70,93 +120,30 @@ def _from_numpy_openblas():
     # a library handle also resolves the symbols of its dependencies,
     # OpenBLAS among them
     lib = ctypes.CDLL(_multiarray_umath.__file__)
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    head = [ctypes.c_int, ctypes.c_char, i64]  # layout, uplo, n
-    potrf_c = lib.scipy_LAPACKE_dpotrf_work64_
-    potrf_c.argtypes = [*head, ptr, i64]
-    potrs_c = lib.scipy_LAPACKE_dpotrs_work64_
-    potrs_c.argtypes = [*head, i64, ptr, i64, ptr, i64]
-    pocon_c = lib.scipy_LAPACKE_dpocon_work64_
-    pocon_c.argtypes = [*head, ptr, i64, ctypes.c_double,
-                        ctypes.POINTER(ctypes.c_double), ptr, ptr]
-    for fn in (potrf_c, potrs_c, pocon_c):
-        fn.restype = i64
-    lansy_c = lib.scipy_LAPACKE_dlansy_work64_
-    lansy_c.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
-    lansy_c.restype = ctypes.c_double
 
-    def uplo(lower):
-        return b"L" if lower else b"U"
+    def routine(name):
+        return ctypes.cast(getattr(lib, f"scipy_{name}_64_"), ctypes.c_void_p).value
 
-    def potrf(a, lower):
-        n = a.shape[0]
-        return potrf_c(_COL_MAJOR, uplo(lower), n, a.ctypes.data, _leading(a))
-
-    def potrs(c, b, lower):
-        n = c.shape[0]
-        nrhs = 1 if b.ndim == 1 else b.shape[1]
-        return potrs_c(_COL_MAJOR, uplo(lower), n, nrhs, c.ctypes.data, _leading(c),
-                       b.ctypes.data, max(n, 1))
-
-    def pocon(c, anorm, lower):
-        n = c.shape[0]
-        rcond = ctypes.c_double()
-        work = _aligned_empty(3 * n, np.float64)
-        iwork = _aligned_empty(n, np.int64)
-        info = pocon_c(_COL_MAJOR, uplo(lower), n, c.ctypes.data, _leading(c), anorm,
-                       ctypes.byref(rcond), work.ctypes.data, iwork.ctypes.data)
-        return rcond.value, info
-
-    def lansy(c, lower):
-        n = c.shape[0]
-        work = _aligned_empty(n, np.float64)
-        return lansy_c(_COL_MAJOR, b"1", uplo(lower), n, c.ctypes.data, _leading(c),
-                       work.ctypes.data)
-
-    return potrf, potrs, pocon, lansy, _thread_calls(lib, "64_")
+    return (*_bind(routine, ctypes.c_int64), _thread_calls(lib, "64_"))
 
 
 def _from_scipy():
-    """(potrf, potrs, pocon, lansy, threads) from scipy, with the same conventions.
+    """(potrf, potrs, pocon, lansy, threads) from ``scipy.linalg.cython_lapack``.
 
-    ``lansy`` is the C function in a capsule of ``scipy.linalg.cython_lapack``.
-    The thread-count calls are those of the OpenBLAS that scipy's LAPACK
-    module links, where it links one.
+    The routines are the C functions in its capsules, and the thread-count
+    calls those of the OpenBLAS that the module links, where it links one.
     """
-    from scipy.linalg import _flapack, cython_lapack
-    from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+    from scipy.linalg import cython_lapack
 
-    def potrf(a, lower):
-        # clean=0: the other triangle may hold another matrix
-        c, info = dpotrf(a, lower=int(lower), clean=0, overwrite_a=1)
-        if c is not a:  # f2py copied instead of factoring in place: copy back our triangle
-            own = np.tri(len(a), dtype=bool)
-            np.copyto(a, c, where=own if lower else own.T)
-        return info
+    api, obj, text = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p
+    name_of = ctypes.PYFUNCTYPE(text, obj)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, text)(("PyCapsule_GetPointer", api))
 
-    def potrs(c, b, lower):
-        x, info = dpotrs(c, b, lower=int(lower), overwrite_b=1)
-        if x is not b:
-            b[...] = x
-        return info
+    def routine(name):
+        capsule = cython_lapack.__pyx_capi__[name]
+        return pointer(capsule, name_of(capsule))
 
-    def pocon(c, anorm, lower):
-        rcond, info = dpocon(c, anorm, uplo="L" if lower else "U")
-        return float(rcond), info
-
-    capsule, text, ptr = cython_lapack.__pyx_capi__["dlansy"], ctypes.c_char_p, ctypes.c_void_p
-    api, obj, int_p = ctypes.pythonapi, ctypes.py_object, ctypes.POINTER(ctypes.c_int)
-    name = ctypes.PYFUNCTYPE(text, obj)(("PyCapsule_GetName", api))(capsule)
-    address = ctypes.PYFUNCTYPE(ptr, obj, text)(("PyCapsule_GetPointer", api))(capsule, name)
-    dlansy = ctypes.CFUNCTYPE(ctypes.c_double, text, text, int_p, ptr, int_p, ptr)(address)
-
-    def lansy(c, lower):
-        n, lda = ctypes.c_int(c.shape[0]), ctypes.c_int(_leading(c))
-        work = _aligned_empty(c.shape[0], np.float64)
-        return dlansy(b"1", b"L" if lower else b"U", ctypes.byref(n), c.ctypes.data,
-                      ctypes.byref(lda), work.ctypes.data)
-
-    return potrf, potrs, pocon, lansy, _thread_calls(ctypes.CDLL(_flapack.__file__))
+    return (*_bind(routine, ctypes.c_int), _thread_calls(ctypes.CDLL(cython_lapack.__file__)))
 
 
 def _load():

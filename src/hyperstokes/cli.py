@@ -238,8 +238,9 @@ def _solver_options(fn):
     fn = click.option(
         "--max-condition", type=float, default=DEFAULT_CONDITION_CEILING,
         show_default=True,
-        help="Refuse solves whose condition estimate, a lower bound on the "
-             "condition number, is above this.",
+        help="Refuse solves whose condition estimate is above this: LAPACK's "
+             "estimate for the split, block-diagonal system, a lower bound on "
+             "that system's 1-norm condition number only.",
     )(fn)
     fn = click.option("--resolution", type=float, default=DEFAULT_RESOLUTION, show_default=True)(fn)
     fn = click.option("--ell", type=float, default=DEFAULT_ELL, show_default=True)(fn)

@@ -55,7 +55,7 @@ import numpy as np
 from ._lapack import cho_factor, cho_solve, lansy, pocon, single_threaded
 from .errors import AssemblyError, InvalidArgument, SingularSystemError
 from .geometry import DiscretizedBody, Involution
-from .kernel import HyperKernel, _factors_over_s, oseen_tensor
+from .kernel import HyperKernel, _as_points, _factors_over_s, oseen_tensor
 
 __all__ = [
     "KernelMatrix",
@@ -84,8 +84,9 @@ class KernelMatrix:
     ``(factor, lower)`` pair per non-empty block, as :func:`_triangles`
     gives them, the larger block first.  A body without symmetry has the
     single block of its identity case, the whole system.  ``condition`` is
-    a LAPACK 1-norm estimate for the block-diagonal system that was
-    factored, a lower bound on its condition number (:func:`assemble`).
+    LAPACK's 1-norm estimate for the split, block-diagonal system that was
+    factored: a lower bound on that system's condition number only
+    (:func:`assemble`).
     """
 
     body: DiscretizedBody
@@ -547,10 +548,10 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     allocated are checked against physical and available memory first.
     ``condition`` is the 1-norm estimate max_t |Mt_t| * max_t 1 / (rcond_t
     |Mt_t|) of the block-diagonal system; with one block, 1 / rcond.  It is
-    a lower bound on the condition number that depends on the basis of the
-    split: 157.71 against an exact 208.83 for the octahedron frame at ell
-    0.01 and resolution 64, and 0.88-1.56 times the identity case's
-    estimate over the suite bodies.
+    a lower bound on the 1-norm condition number of that system only, not
+    of Mt, since the basis of the split changes 1-norms: 231.39 against
+    Mt's 208.83 for the octahedron frame at ell 0.01 and resolution 64,
+    904.75 against 836.36 at ell 0.1 and resolution 16.
 
     Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
     a matrix larger than physical or available memory, and
@@ -698,17 +699,26 @@ def resistance(
 def disturbance_velocity(
     x_eval, f: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel
 ) -> np.ndarray:
-    """Fluid velocity u(x) = sum_k Z(x - x_k) w_k f_k at arbitrary points."""
-    x_eval = np.asarray(x_eval, dtype=float)
-    diff = x_eval[..., None, :] - dbody.nodes
-    z = oseen_tensor(diff, kernel)
-    return np.einsum("...kij,k,kj->...i", z, dbody.weights, np.asarray(f, dtype=float))
+    """Fluid velocity u(x) = sum_k Z(x - x_k) w_k f_k at points x of shape (..., 3).
+
+    The points are taken in chunks of about ``_ASSEMBLY_CHUNK_PAIRS``
+    point-node pairs, so that only one chunk's Oseen tensors are held at a
+    time.
+    """
+    x_eval = _as_points(x_eval)
+    wf = np.einsum("k,kj->kj", dbody.weights, np.asarray(f, dtype=float))
+    points = x_eval.reshape(-1, 3)
+    u = np.empty_like(points)
+    step = max(1, _ASSEMBLY_CHUNK_PAIRS // max(dbody.n_nodes, 1))
+    for lo in range(0, len(points), step):
+        z = oseen_tensor(points[lo:lo + step, None, :] - dbody.nodes, kernel)
+        u[lo:lo + step] = np.einsum("pkij,kj->pi", z, wf)
+    return u.reshape(x_eval.shape)
 
 
 def dissipation(f: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel) -> float:
-    """Discrete dissipation sum_kl w_k w_l f_k . Z(x_k - x_l) f_l (>= 0)."""
+    """Discrete dissipation sum_kl w_k w_l f_k . Z(x_k - x_l) f_l (>= 0),
+    as sum_k w_k f_k . u(x_k) with u from :func:`disturbance_velocity`."""
     f = np.asarray(f, dtype=float)
-    x = dbody.nodes
-    w = dbody.weights
-    z = oseen_tensor(x[:, None, :] - x[None, :, :], kernel)
-    return float(np.einsum("k,l,ki,klij,lj->", w, w, f, z, f))
+    u = disturbance_velocity(dbody.nodes, f, dbody, kernel)
+    return float(np.einsum("k,ki,ki->", dbody.weights, f, u))

@@ -11,9 +11,34 @@ from hyperstokes import (
     rod,
     tripod_tetrahedron,
 )
+from hyperstokes import _lapack
 
 ELL = 0.1
 SUITE_RESOLUTIONS = (8, 16)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--lapack-source", choices=("loaded", "scipy"), default="loaded",
+        help="LAPACK routines for the whole test session: the source _lapack "
+             "loaded, or its scipy fallback (to test the fallback where both exist).",
+    )
+
+
+def use_scipy_lapack(monkeypatch):
+    """Route _lapack to the routines and thread-count calls of its scipy source,
+    so that a pinned section pins the library that factors."""
+    for name, value in zip(("_potrf", "_potrs", "_pocon", "_lansy", "_threads"),
+                           _lapack._from_scipy()):
+        monkeypatch.setattr(_lapack, name, value)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def lapack_source(request):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if request.config.getoption("--lapack-source") == "scipy":
+            use_scipy_lapack(monkeypatch)
+        yield
 
 
 def suite_bodies():

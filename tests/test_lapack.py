@@ -7,26 +7,18 @@ from hyperstokes import HyperKernel, _lapack, discretize, octahedron_frame, resi
 from hyperstokes.geometry import Involution
 from hyperstokes import mobility as mob
 
+from conftest import use_scipy_lapack
+
 
 def _spd(n, rng):
     a = rng.standard_normal((n, n))
     return np.asfortranarray(a @ a.T + n * np.eye(n))
 
 
-def _use_scipy(monkeypatch):
-    """Route _lapack to scipy's routines and to the thread-count calls of scipy's
-    OpenBLAS, so that a pinned section pins the library that factors;
-    monkeypatch keeps numpy's and restores them after the test."""
-    potrf, potrs, pocon, lansy, threads = _lapack._from_scipy()
-    for name, routine in (("_potrf", potrf), ("_potrs", potrs), ("_pocon", pocon),
-                          ("_lansy", lansy), ("_threads", threads)):
-        monkeypatch.setattr(_lapack, name, routine)
-
-
 @pytest.fixture(params=["loaded", "scipy"])
 def routines(request, monkeypatch):
     if request.param == "scipy":
-        _use_scipy(monkeypatch)
+        use_scipy_lapack(monkeypatch)
     return request.param
 
 
@@ -160,7 +152,7 @@ def test_single_threaded_without_thread_calls_pins_nothing(monkeypatch):
 
 def test_scipy_fallback_matches_numpy_openblas(bodies, kernel, monkeypatch):
     loaded = {name: resistance(discretize(body, 16), kernel) for name, body in bodies.items()}
-    _use_scipy(monkeypatch)
+    use_scipy_lapack(monkeypatch)
     for name, body in bodies.items():
         res = resistance(discretize(body, 16), kernel)
         ref = loaded[name]
@@ -168,34 +160,29 @@ def test_scipy_fallback_matches_numpy_openblas(bodies, kernel, monkeypatch):
         assert res.condition == pytest.approx(ref.condition, rel=1e-10), name
 
 
-def test_scipy_fallback_factors_packed_pair_in_place(bodies, kernel, monkeypatch):
-    import scipy.linalg.lapack as sla
-
+@pytest.mark.parametrize("source", ["loaded", "scipy"])
+def test_packed_pair_factored_in_place(bodies, kernel, monkeypatch, source):
     dbody = discretize(bodies["helix"], 16)
-    ref = resistance(dbody, kernel)
-    dpotrf = sla.dpotrf
-    calls = []
+    ref = resistance(dbody, kernel)  # on the loaded source
+    if source == "scipy":
+        use_scipy_lapack(monkeypatch)
+    potrf, factored = _lapack._potrf, []
 
-    def spy(a, **kwargs):
-        c, info = dpotrf(a, **kwargs)
-        calls.append((a, c))
-        return c, info
+    def spy(a, lower):
+        factored.append(a)
+        return potrf(a, lower)
 
-    monkeypatch.setattr(sla, "dpotrf", spy)
-    _use_scipy(monkeypatch)
+    monkeypatch.setattr(_lapack, "_potrf", spy)
     km = mob.assemble(dbody, kernel)
     (plus, _), (minus, _) = km._factor
     assert np.shares_memory(plus, minus)  # one (m, m + 1) array
-    assert len(calls) == 2
-    assert all(np.shares_memory(c, a) and np.shares_memory(c, plus) for a, c in calls)
+    assert sorted(map(id, factored)) == sorted([id(plus), id(minus)])
     res = resistance(dbody, kernel, matrix=km)
     assert np.linalg.norm(res.A - ref.A) <= 1e-13 * np.linalg.norm(ref.A)
     assert res.condition == pytest.approx(ref.condition, rel=1e-10)
 
 
-@pytest.mark.skipif(_lapack.SOURCE != "numpy-openblas",
-                    reason="scipy's pocon allocates its own work arrays")
-def test_condition_estimate_independent_of_heap_placement(rng):
+def test_condition_estimate_independent_of_heap_placement(routines, rng):
     # with work arrays wherever the heap puts them, this estimate took three
     # values in its last digits over 200 calls
     dbody = discretize(octahedron_frame(1.0), 16)

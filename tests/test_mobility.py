@@ -727,6 +727,34 @@ class TestDisturbanceVelocity:
         )
         assert np.array_equal(u, np.zeros(3))
 
+    def test_points_in_chunks_keep_shape_and_values(self, suite_solutions, kernel, rng,
+                                                    monkeypatch):
+        import hyperstokes.mobility as mob
+
+        dbody, _ = suite_solutions[("tripod", 8)]
+        f = rng.standard_normal(dbody.nodes.shape)
+        x = rng.standard_normal((4, 5, 3))
+        whole = disturbance_velocity(x, f, dbody, kernel)
+        monkeypatch.setattr(mob, "_ASSEMBLY_CHUNK_PAIRS", 3 * dbody.n_nodes)  # 3 points a chunk
+        chunked = disturbance_velocity(x, f, dbody, kernel)
+        z = oseen_tensor(x[..., None, :] - dbody.nodes, kernel)
+        direct = np.einsum("...kij,k,kj->...i", z, dbody.weights, f)
+        assert chunked.shape == x.shape
+        assert np.array_equal(chunked, whole)
+        assert np.allclose(chunked, direct, rtol=0, atol=1e-13 * np.abs(direct).max())
+
+    def test_dissipation_peak_memory_bounded(self, kernel, rng):
+        dbody = discretize(helix(0.2, 0.1, 3), 256)
+        assert dbody.n_nodes == 1008  # where one (N, N, 3, 3) Oseen tensor is 73 MB
+        f = rng.standard_normal(dbody.nodes.shape)
+        tracemalloc.start()
+        try:
+            dissipation(f, dbody, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
+
 
 class TestEquivarianceViaTransform:
     def test_rediscretized_rotation_matches(self, kernel, rng):
