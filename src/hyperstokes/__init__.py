@@ -36,7 +36,6 @@ from .geometry import (
     mass_properties,
     octahedron_frame,
     rod,
-    total_length,
     transform,
     tripod_tetrahedron,
 )

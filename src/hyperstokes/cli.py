@@ -233,7 +233,7 @@ def kernel_eval(x, ell, h):
     click.echo(json_text({"config": {"ell": ell}, "result": result}))
 
 
-def _solver_options(fn):
+def _condition_options(fn):
     fn = click.option("--force", is_flag=True, help="Override the condition ceiling.")(fn)
     fn = click.option(
         "--max-condition", type=float, default=DEFAULT_CONDITION_CEILING,
@@ -242,6 +242,11 @@ def _solver_options(fn):
              "estimate for the split, block-diagonal system, a lower bound on "
              "that system's 1-norm condition number only.",
     )(fn)
+    return fn
+
+
+def _solver_options(fn):
+    fn = _condition_options(fn)
     fn = click.option("--resolution", type=float, default=DEFAULT_RESOLUTION, show_default=True)(fn)
     fn = click.option("--ell", type=float, default=DEFAULT_ELL, show_default=True)(fn)
     fn = click.argument("file", type=click.Path())(fn)
@@ -396,9 +401,7 @@ def fixed_points(file, ell, resolution, max_condition, force, grid):
 @click.option("--ell", type=float, default=DEFAULT_ELL, show_default=True)
 @click.option("--resolutions", type=str, required=True,
               help="Comma-separated list, e.g. 8,16,32.")
-@click.option("--max-condition", type=float, default=DEFAULT_CONDITION_CEILING,
-              show_default=True)
-@click.option("--force", is_flag=True)
+@_condition_options
 def convergence(file, ell, resolutions, max_condition, force):
     """Translation tensor per resolution, with successive differences (CSV)."""
     try:

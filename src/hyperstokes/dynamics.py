@@ -25,10 +25,9 @@ from math import floor, pi, sqrt
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _check_memory
 from .freefall import FreefallInput, require_regular, skew
 from .geometry import nearest_neighbors
-from .mobility import _check_memory
 
 __all__ = [
     "OrientationTrajectory",

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all hyperstokes modules.
+"""Exception hierarchy and memory check shared by all hyperstokes modules.
 
 Each class carries the ``slug`` that the command line prints as
 ``error[<slug>]: <message>``.
 """
+
+import os
+
+_MEMINFO = "/proc/meminfo"
 
 
 class HyperstokesError(Exception):
@@ -46,3 +50,29 @@ class NoTranslationalOrientation(HyperstokesError):
     translational orientation can be predicted."""
 
     slug = "no-translational-orientation"
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _available_memory_bytes() -> int | None:
+    """``MemAvailable`` of /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open(_MEMINFO) as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the file counts kB
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError) -> None:
+    """Raise ``error`` if ``need`` bytes exceed physical memory or, where the
+    system reports it, the memory available now."""
+    for what, have in (("physical memory", _physical_memory_bytes()),
+                       ("memory available now", _available_memory_bytes())):
+        if have is not None and need > have:
+            raise error(f"{what_needs} {need / 2**30:.3g} GiB, more than the "
+                        f"{have / 2**30:.3g} GiB of {what}; {advice}")

@@ -19,7 +19,7 @@ from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .errors import BodyConfigError, InvalidArgument
+from .errors import BodyConfigError, InvalidArgument, _check_memory
 
 __all__ = [
     "Segment",
@@ -28,7 +28,6 @@ __all__ = [
     "DiscretizedBody",
     "Involution",
     "mass_properties",
-    "total_length",
     "diameter",
     "transform",
     "discretize",
@@ -46,6 +45,7 @@ _ORTHO_TOL = 1e-12
 _NODE_BYTES = 100  # a node's position, weight and density, with their per-edge pieces
 _DIAMETER_CHUNK_PAIRS = 250_000
 _NEIGHBOR_CHUNK_PAIRS = 250_000
+_TOUCH_CHUNK_PAIRS = 250_000
 _INVOLUTION_RTOL = 1e-12  # node positions match to this fraction of the cloud's radius
 _INVOLUTION_CANDIDATES = 64  # anchor images tried before giving up
 _INVOLUTION_SCREEN = 16  # about this many nodes checked before a candidate gets the full match
@@ -94,10 +94,6 @@ class Segment:
         dens.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "density", dens)
-
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +146,10 @@ class DiscretizedBody:
     densities  (N,) linear density at each node
     """
 
-    name: str
     nodes: np.ndarray
     weights: np.ndarray
     densities: np.ndarray
     mass: MassProperties
-    resolution: float
 
     @property
     def n_nodes(self) -> int:
@@ -346,11 +340,6 @@ def find_involution(nodes, weights) -> Involution | None:
     return best
 
 
-def total_length(body: BodyGeometry) -> float:
-    """Total arc length of the body."""
-    return float(sum(np.linalg.norm(p1 - p0) for p0, p1, _ in _edges(body)))
-
-
 def diameter(body: BodyGeometry) -> float:
     """Largest distance between any two polyline vertices."""
     return _cloud_diameter(np.vstack([s.points for s in body.segments]))
@@ -418,33 +407,37 @@ def transform(body: BodyGeometry, Q, t=(0.0, 0.0, 0.0)) -> BodyGeometry:
 
 
 def _warn_if_disconnected(body: BodyGeometry) -> None:
-    """Multi-segment bodies are expected to be connected; warn otherwise."""
+    """Warn unless the segments form one connected set.
+
+    Two segments touch where an end of one lies within 1e-9 times the
+    body's diameter of any point of the other (a vertex, the middle of an
+    edge or an end), over row chunks of ends of about 250k end-edge pairs;
+    a breadth-first sweep over the touches must reach every segment.
+    """
     n = len(body.segments)
     if n <= 1:
         return
     tol = 1e-9 * max(diameter(body), 1e-300)
-    ends = [(s.points[0], s.points[-1]) for s in body.segments]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        pts_i = np.vstack(ends[i])
-        for j in range(i + 1, n):
-            pts_j = np.vstack(ends[j])
-            gap = np.linalg.norm(pts_i[:, None, :] - pts_j[None, :, :], axis=-1).min()
-            if gap <= tol:
-                parent[find(i)] = find(j)
-    if len({find(i) for i in range(n)}) > 1:
-        warnings.warn(
-            f"body '{body.name}' has disconnected segments; the solver still "
-            "works but the underlying model assumes a connected body",
-            stacklevel=3,
-        )
+    ends = np.array([p for s in body.segments for p in (s.points[0], s.points[-1])])
+    starts = np.vstack([s.points[:-1] for s in body.segments])
+    steps = np.vstack([np.diff(s.points, axis=0) for s in body.segments])
+    edge_segment = np.repeat(np.arange(n), [len(s.density) for s in body.segments])
+    touch = np.zeros((n, n), dtype=bool)
+    rows = max(1, _TOUCH_CHUNK_PAIRS // len(starts))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed distance touches nothing
+        for lo in range(0, 2 * n, rows):
+            rel = ends[lo:lo + rows, None] - starts
+            t = np.clip((rel * steps).sum(axis=2) / (steps * steps).sum(axis=1), 0.0, 1.0)
+            end, edge = np.nonzero(np.linalg.norm(rel - t[..., None] * steps, axis=2) <= tol)
+            touch[(lo + end) // 2, edge_segment[edge]] = True
+    touch |= touch.T
+    reached = frontier = np.arange(n) == 0
+    while frontier.any():
+        frontier = touch[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    if not reached.all():
+        warnings.warn(f"body '{body.name}' has disconnected segments; the solver still works "
+                      "but the underlying model assumes a connected body", stacklevel=3)
 
 
 def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
@@ -455,12 +448,11 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     shrunk by 1e-12 relative before rounding up, so a length that roundoff
     (e.g. from a rotation) puts one ulp above an integer count keeps that
     count.  Midpoint nodes avoid duplicated junction points where segments
-    meet, so the kernel matrix never sees coincident nodes.  The node set is
-    finally shifted so the density-weighted center of mass sits at the origin.
-    A node count whose arrays would not fit in memory is refused with
-    InvalidArgument before anything is allocated.
+    meet; overlapping segments still give coincident nodes, which assembly
+    refuses.  The node set is finally shifted so the density-weighted center
+    of mass sits at the origin.  A node count whose arrays would not fit in
+    memory is refused with InvalidArgument before anything is allocated.
     """
-    from .mobility import _check_memory  # mobility imports this module
     if not (np.isfinite(resolution) and resolution > 0.0):
         raise InvalidArgument(f"resolution must be positive, got {resolution}")
     _warn_if_disconnected(body)
@@ -486,14 +478,7 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     x.setflags(write=False)
     w.setflags(write=False)
     rho.setflags(write=False)
-    return DiscretizedBody(
-        name=body.name,
-        nodes=x,
-        weights=w,
-        densities=rho,
-        mass=mass,
-        resolution=float(resolution),
-    )
+    return DiscretizedBody(nodes=x, weights=w, densities=rho, mass=mass)
 
 
 def _require_positive(**dims) -> None:

@@ -53,7 +53,7 @@ from math import pi
 import numpy as np
 
 from ._lapack import cho_factor, cho_solve, lansy, pocon, single_threaded
-from .errors import AssemblyError, InvalidArgument, SingularSystemError
+from .errors import AssemblyError, InvalidArgument, SingularSystemError, _check_memory
 from .geometry import DiscretizedBody, Involution
 from .kernel import HyperKernel, _as_points, _factors_over_s, oseen_tensor
 
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 _ASSEMBLY_CHUNK_PAIRS = 50_000  # pair evaluations per fill step; its ~3.6 MB of output stays in cache
-_MEMINFO = "/proc/meminfo"
 _SQRT_HALF = np.sqrt(0.5)
 
 
@@ -208,22 +207,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _available_memory_bytes() -> int | None:
-    """``MemAvailable`` of /proc/meminfo, or None where it cannot be read."""
-    try:
-        with open(_MEMINFO) as meminfo:
-            for line in meminfo:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024  # the file counts kB
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
-
-
 def _column_blocks(n: int, pairs: int = 0) -> list[tuple[int, int]]:
     """Orbit ranges [lo, hi) of the fill steps, one column block each.
 
@@ -236,16 +219,6 @@ def _column_blocks(n: int, pairs: int = 0) -> list[tuple[int, int]]:
         chunk = max(1, _ASSEMBLY_CHUNK_PAIRS // max(evaluations * n, 1))
         blocks += [(lo, min(lo + chunk, end)) for lo in range(first, end, chunk)]
     return blocks
-
-
-def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError) -> None:
-    """Raise ``error`` if ``need`` bytes exceed physical memory or, where the
-    system reports it, the memory available now."""
-    for what, have in (("physical memory", _physical_memory_bytes()),
-                       ("memory available now", _available_memory_bytes())):
-        if have is not None and need > have:
-            raise error(f"{what_needs} {need / 2**30:.3g} GiB, more than the "
-                        f"{have / 2**30:.3g} GiB of {what}; {advice}")
 
 
 def _empty_matrix(a: int, b: int) -> np.ndarray:
@@ -595,13 +568,18 @@ def solve_rigid(km: KernelMatrix, xi, omega) -> np.ndarray:
     return km.solve(u.ravel()).reshape(-1, 3)
 
 
-def force_torque(f: np.ndarray, dbody: DiscretizedBody):
-    """Hydrodynamic force and torque on the body (torque about the center of mass)."""
+def _force_density(f, dbody: DiscretizedBody) -> np.ndarray:
+    """``f`` as a float array; InvalidArgument unless it has one 3-vector per node."""
     f = np.asarray(f, dtype=float)
     if f.shape != dbody.nodes.shape:
-        raise InvalidArgument(
-            f"force density shape {f.shape} does not match body ({dbody.nodes.shape})"
-        )
+        raise InvalidArgument(f"force density shape {f.shape} does not match body "
+                              f"({dbody.nodes.shape})")
+    return f
+
+
+def force_torque(f: np.ndarray, dbody: DiscretizedBody):
+    """Hydrodynamic force and torque on the body (torque about the center of mass)."""
+    f = _force_density(f, dbody)
     w = dbody.weights
     force = -(w[:, None] * f).sum(axis=0)
     torque = -(w[:, None] * np.cross(dbody.nodes, f)).sum(axis=0)
@@ -676,8 +654,12 @@ def resistance(
     boundary data of problem a with the force density of problem b; the
     reciprocity of the underlying operator makes A symmetric up to solver
     roundoff, which is reported in ``asymmetry`` rather than enforced.
+    A ``matrix`` that :func:`assemble` made for this very ``dbody`` and an equal
+    ``kernel`` is used instead of assembling one; any other is InvalidArgument.
     """
-    km = matrix if matrix is not None else assemble(dbody, kernel)
+    km = assemble(dbody, kernel) if matrix is None else matrix
+    if km.body is not dbody or km.kernel != kernel:
+        raise InvalidArgument("the kernel matrix was assembled for another body or kernel")
     x = dbody.nodes
     w = dbody.weights
     n = len(x)
@@ -706,7 +688,7 @@ def disturbance_velocity(
     time.
     """
     x_eval = _as_points(x_eval)
-    wf = np.einsum("k,kj->kj", dbody.weights, np.asarray(f, dtype=float))
+    wf = np.einsum("k,kj->kj", dbody.weights, _force_density(f, dbody))
     points = x_eval.reshape(-1, 3)
     u = np.empty_like(points)
     step = max(1, _ASSEMBLY_CHUNK_PAIRS // max(dbody.n_nodes, 1))
@@ -719,6 +701,6 @@ def disturbance_velocity(
 def dissipation(f: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel) -> float:
     """Discrete dissipation sum_kl w_k w_l f_k . Z(x_k - x_l) f_l (>= 0),
     as sum_k w_k f_k . u(x_k) with u from :func:`disturbance_velocity`."""
-    f = np.asarray(f, dtype=float)
+    f = _force_density(f, dbody)
     u = disturbance_velocity(dbody.nodes, f, dbody, kernel)
     return float(np.einsum("k,ki,ki->", dbody.weights, f, u))

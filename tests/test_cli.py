@@ -426,6 +426,15 @@ class TestTrajectoryCommands:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["resistance", "freefall", "symmetry", "fall-sim",
+                                         "fixed-points", "convergence"])
+    def test_help_explains_condition_options(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        text = " ".join(result.stdout.split())
+        assert "--max-condition FLOAT Refuse solves whose condition estimate" in text
+        assert "--force Override the condition ceiling." in text
+
 
 class TestSymmetryCommand:
     def test_tripod_report(self, runner, tmp_path):
@@ -550,9 +559,9 @@ class TestErrorSlugs:
         assert "not positive definite" in result.stderr
 
     def test_matrix_larger_than_memory_fails_assembly(self, runner, rod_file, monkeypatch):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 1 << 16)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: 1 << 16)
         result = runner.invoke(main, ["resistance", rod_file, "--resolution", "64"])
         assert result.exit_code == 2
         assert result.stderr.startswith("error[assembly]")

@@ -165,12 +165,12 @@ class TestIntegrateOrientation:
             integrate_orientation(inp, np.array([1.0, 0.0, 0.0]), 1e-2, 0.0)
 
     def test_trajectory_larger_than_memory_rejected(self, monkeypatch):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
         inp = spinny_input()
         g0 = np.array([1.0, 0.0, 0.0])
-        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: None)
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 80 * 101)
+        monkeypatch.setattr(err, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: 80 * 101)
         assert integrate_orientation(inp, g0, 0.01, 1.0).t.shape == (101,)
         with pytest.raises(InvalidArgument, match="physical memory"):
             integrate_orientation(inp, g0, 0.01, 1.01)
@@ -255,10 +255,10 @@ class TestFindFixedPoints:
             find_fixed_points(spinny_input(), 4)
 
     def test_lattice_larger_than_memory_rejected(self, monkeypatch):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
-        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: None)
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 200 * 500)
+        monkeypatch.setattr(err, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: 200 * 500)
         assert find_fixed_points(spinny_input(), 500).points
         with pytest.raises(InvalidArgument, match="physical memory"):
             find_fixed_points(spinny_input(), 501)

@@ -1,6 +1,7 @@
 """Bodies, mass accounting and quadrature: exactness, symmetry, equivariance."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from hyperstokes import (
     mass_properties,
     octahedron_frame,
     rod,
-    total_length,
     transform,
     tripod_tetrahedron,
 )
@@ -42,6 +42,22 @@ def riemann_mass_oracle(body, n_sub=200_000):
             moment += rho * dl * pts.sum(axis=0)
             geo_moment += dl * pts.sum(axis=0)
     return m, moment / m, geo_moment / length
+
+
+def connected_by_loops(body):
+    """Reference: every segment end against every edge, then scipy's components."""
+    from scipy.sparse.csgraph import connected_components
+
+    tol = 1e-9 * diameter(body)
+    n = len(body.segments)
+    touch = np.zeros((n, n), dtype=bool)
+    for i, seg in enumerate(body.segments):
+        for j, other in enumerate(body.segments):
+            for end in (seg.points[0], seg.points[-1]):
+                for a, b in zip(other.points[:-1], other.points[1:]):
+                    t = np.clip((end - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+                    touch[i, j] |= np.linalg.norm(end - a - t * (b - a)) <= tol
+    return connected_components(touch, directed=False)[0] == 1
 
 
 def two_density_rod():
@@ -110,7 +126,7 @@ class TestDiscretize:
             for res in (4, 8, 16):
                 dbody = discretize(body, res)
                 assert dbody.weights.sum() == pytest.approx(
-                    total_length(body), rel=1e-12
+                    mass_properties(body).total_length, rel=1e-12
                 )
 
     def test_density_moment_vanishes(self):
@@ -150,10 +166,10 @@ class TestDiscretize:
             discretize(rod(10.0), 1e308)  # length x resolution overflows
 
     def test_nodes_larger_than_memory_rejected(self, monkeypatch):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
-        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: None)
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: 100 * 8)
+        monkeypatch.setattr(err, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: 100 * 8)
         assert discretize(rod(1.0), 8).n_nodes == 8
         with pytest.raises(InvalidArgument, match="physical memory"):
             discretize(rod(1.0), 9)
@@ -445,17 +461,17 @@ class TestBuilders:
     def test_tripod_edges_unit_length(self):
         body = tripod_tetrahedron(1.0)
         for seg in body.segments:
-            assert seg.edge_lengths[0] == pytest.approx(1.0, rel=1e-14)
+            assert np.linalg.norm(np.diff(seg.points, axis=0)) == pytest.approx(1.0, rel=1e-14)
 
     def test_octahedron_frame_counts(self):
         body = octahedron_frame(1.0)
         assert len(body.segments) == 12
-        assert total_length(body) == pytest.approx(12.0, rel=1e-14)
+        assert mass_properties(body).total_length == pytest.approx(12.0, rel=1e-14)
 
     def test_helix_length_close_to_smooth(self):
         body = helix(0.2, 0.1, 3)
         smooth = 3.0 * np.hypot(2 * np.pi * 0.2, 0.1)
-        polyline = total_length(body)
+        polyline = mass_properties(body).total_length
         assert polyline < smooth
         assert polyline == pytest.approx(smooth, rel=0.01)
 
@@ -524,5 +540,41 @@ class TestValidation:
             discretize(body, 4)
 
     def test_connected_multi_segment_body_does_not_warn(self, recwarn):
-        discretize(tripod_tetrahedron(1.0), 4)
+        bar = Segment(points=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        stem = Segment(points=np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+        straight_bar = Segment(points=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        # left and right meet only through link, each ending in the middle of its edge
+        left = Segment(points=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        right = Segment(points=np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 0.0]]))
+        link = Segment(points=np.array([[1.0, -1.0, 0.0], [1.0, 2.0, 0.0]]))
+        bodies = (
+            tripod_tetrahedron(1.0),
+            BodyGeometry(name="stem_at_vertex", segments=(bar, stem)),
+            BodyGeometry(name="stem_mid_edge", segments=(straight_bar, stem)),
+            BodyGeometry(name="chain", segments=(left, right, link)),
+        )
+        for body in bodies:
+            discretize(body, 4)
         assert not [w for w in recwarn.list if "disconnected" in str(w.message)]
+
+    def test_connectivity_matches_pairwise_reference(self, rng, monkeypatch):
+        monkeypatch.setattr(geometry, "_TOUCH_CHUNK_PAIRS", 7)  # about one end per chunk
+        outcomes = set()
+        for _ in range(40):
+            segs = []
+            for _ in range(rng.integers(2, 5)):
+                pts = rng.normal(size=(rng.integers(2, 5), 3))
+                if segs and rng.random() < 0.7:  # one end on an earlier segment
+                    other = segs[rng.integers(len(segs))].points
+                    k = rng.integers(len(other) - 1)
+                    t = rng.choice([0.0, rng.random(), 1.0])
+                    pts[rng.choice([0, -1])] = other[k] + t * (other[k + 1] - other[k])
+                segs.append(Segment(points=pts))
+            body = BodyGeometry(name="random", segments=tuple(segs))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                geometry._warn_if_disconnected(body)
+            connected = connected_by_loops(body)
+            assert bool(caught) != connected
+            outcomes.add(connected)
+        assert outcomes == {True, False}

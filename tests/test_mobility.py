@@ -184,36 +184,36 @@ class TestAssemble:
                 symmetrized_matrix(dbody, kernel)
 
     def test_matrix_larger_than_memory_rejected(self, kernel, monkeypatch, dense_path):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
         dbody = discretize(helix(0.2, 0.1, 3), 32)
         need = 8 * (3 * dbody.n_nodes) ** 2
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(AssemblyError, match="physical memory"):
             assemble(dbody, kernel)
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: need)
         assert assemble(dbody, kernel).positive_definite
 
     def test_split_blocks_larger_than_memory_rejected(self, kernel, monkeypatch):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
         dbody = discretize(helix(0.2, 0.1, 3), 32)
         assert dbody.involution is not None
         m = 3 * dbody.n_nodes // 2
         need = 8 * m * (m + 1)  # two triangles of order m in one array
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(AssemblyError, match="physical memory"):
             assemble(dbody, kernel)
-        monkeypatch.setattr(mob, "_physical_memory_bytes", lambda: need)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: need)
         assert assemble(dbody, kernel).positive_definite
 
     def test_matrix_larger_than_available_memory_rejected(self, kernel, monkeypatch,
                                                           dense_path):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
         dbody = discretize(helix(0.2, 0.1, 3), 512)  # a 279 MB matrix
         need = 8 * (3 * dbody.n_nodes) ** 2
-        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(err, "_available_memory_bytes", lambda: need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(AssemblyError, match="memory available now"):
@@ -224,12 +224,12 @@ class TestAssemble:
         assert peak < need / 100
 
     def test_split_blocks_larger_than_available_memory_rejected(self, kernel, monkeypatch):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
         dbody = discretize(helix(0.2, 0.1, 3), 512)  # two blocks in one 70 MB array
         m = 3 * dbody.n_nodes // 2
         need = 8 * m * (m + 1)
-        monkeypatch.setattr(mob, "_available_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(err, "_available_memory_bytes", lambda: need - 1)
         tracemalloc.start()
         try:
             # the first call runs the involution search (about 0.75 MB) before it refuses
@@ -248,17 +248,17 @@ class TestAssemble:
 
     def test_available_memory_read_from_meminfo(self, kernel, monkeypatch, tmp_path,
                                                 dense_path):
-        import hyperstokes.mobility as mob
+        import hyperstokes.errors as err
 
         meminfo = tmp_path / "meminfo"
         meminfo.write_text("MemTotal:       8000 kB\nMemAvailable:    1234 kB\n")
-        monkeypatch.setattr(mob, "_MEMINFO", str(meminfo))
-        assert mob._available_memory_bytes() == 1234 * 1024
+        monkeypatch.setattr(err, "_MEMINFO", str(meminfo))
+        assert err._available_memory_bytes() == 1234 * 1024
         with pytest.raises(AssemblyError, match="memory available now"):
             assemble(discretize(helix(0.2, 0.1, 3), 32), kernel)
         # unreadable: physical memory is the only limit
-        monkeypatch.setattr(mob, "_MEMINFO", str(tmp_path / "missing"))
-        assert mob._available_memory_bytes() is None
+        monkeypatch.setattr(err, "_MEMINFO", str(tmp_path / "missing"))
+        assert err._available_memory_bytes() is None
         assert assemble(discretize(helix(0.2, 0.1, 3), 32), kernel).positive_definite
 
     @pytest.mark.parametrize("name, resolution, blocks", [
@@ -692,6 +692,24 @@ class TestResistance:
         ]
         assert k11[0] < k11[1] < k11[2]
 
+    def test_matrix_of_another_kernel_refused(self, bodies):
+        dbody = discretize(bodies["rod"], 16)
+        km = assemble(dbody, HyperKernel(ell=0.1))
+        with pytest.raises(InvalidArgument, match="another body or kernel"):
+            resistance(dbody, HyperKernel(ell=1.0), matrix=km)
+        # an equal kernel is accepted: the same A as assembling afresh
+        a = resistance(dbody, HyperKernel(ell=0.1), matrix=km).A
+        assert np.array_equal(a, resistance(dbody, HyperKernel(ell=0.1)).A)
+
+    def test_matrix_of_another_body_refused(self, bodies, kernel):
+        rod16 = discretize(bodies["rod"], 16)
+        bent16 = discretize(bodies["bent_rod"], 16)
+        assert bent16.n_nodes == rod16.n_nodes
+        km = assemble(rod16, kernel)
+        for other in (bent16, discretize(bodies["rod"], 16)):
+            with pytest.raises(InvalidArgument, match="another body or kernel"):
+                resistance(other, kernel, matrix=km)
+
     def test_from_blocks_diagnostics(self):
         res = ResistanceSet.from_blocks(
             K=np.eye(3), S=np.zeros((3, 3)), C=np.zeros((3, 3)), B=np.eye(3)
@@ -701,6 +719,16 @@ class TestResistance:
 
 
 class TestDisturbanceVelocity:
+    @pytest.mark.parametrize("shape", [(16, 2), (17, 3)], ids=["two-components", "extra-node"])
+    def test_force_density_of_another_shape_refused(self, bodies, kernel, shape):
+        dbody = discretize(bodies["rod"], 16)
+        f = np.ones(shape)
+        for call in (lambda: force_torque(f, dbody),
+                     lambda: disturbance_velocity(dbody.nodes, f, dbody, kernel),
+                     lambda: dissipation(f, dbody, kernel)):
+            with pytest.raises(InvalidArgument, match="does not match body"):
+                call()
+
     def test_reproduces_rigid_data_at_nodes(self, suite_solutions, kernel, rng):
         dbody, _ = suite_solutions[("bent_rod", 8)]
         km = assemble(dbody, kernel)
