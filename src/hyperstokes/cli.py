@@ -7,16 +7,21 @@ failures print a single machine-parsable line
     error[<slug>]: <message>
 
 to stderr and exit with code 2.
+
+The solver layers above the resistance tensors (free fall, dynamics,
+symmetry) are imported by the commands that call them, so a process pays
+only for the modules its command uses.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict, dataclass
 
 import click
 import numpy as np
 
-from . import dynamics, freefall, geometry, mobility, symmetry
+from . import __version__, geometry, mobility
 from .errors import HyperstokesError, InvalidArgument, SingularSystemError
 from .kernel import (
     HyperKernel,
@@ -166,7 +171,7 @@ def _resistance_dict(res: mobility.ResistanceSet) -> dict:
 
 
 @click.group(cls=_Cli)
-@click.version_option(package_name="hyperstokes")
+@click.version_option(version=__version__)
 def main():
     """Resistance tensors and steady free fall of slender bodies in a
     hyperviscous Stokes fluid."""
@@ -286,6 +291,8 @@ def resistance(file, ell, resolution, max_condition, force, fmt):
               show_default=True, help="Body axis for the tilt angle.")
 def freefall_cmd(file, ell, resolution, max_condition, force, tol_trans, axis):
     """Steady free-fall states (lambda, g, xi, omega) of a body."""
+    from . import freefall
+
     cfg = RunConfig(ell=ell, resolution=resolution, tol_trans=tol_trans,
                     condition_ceiling=max_condition, force=force)
     freefall.check_axis(axis)
@@ -335,6 +342,8 @@ def freefall_cmd(file, ell, resolution, max_condition, force, tol_trans, axis):
 def symmetry_cmd(file, ell, resolution, max_condition, force, transform,
                  plane_axis, heli_axis, tol):
     """Symmetry checks: invariance, transformation law, tensor patterns."""
+    from . import symmetry
+
     cfg = RunConfig(ell=ell, resolution=resolution, tol_symmetry=tol,
                     condition_ceiling=max_condition, force=force)
     q = geometry.ensure_orthogonal(np.reshape(transform, (3, 3))) if transform else None
@@ -354,6 +363,8 @@ def symmetry_cmd(file, ell, resolution, max_condition, force, transform,
               help="End time; the last step is shortened to end there.")
 def fall_sim(file, ell, resolution, max_condition, force, g0, dt, t_end):
     """Integrate the orientation kinematics; emits a trajectory CSV."""
+    from . import dynamics, freefall
+
     cfg = RunConfig(ell=ell, resolution=resolution,
                     condition_ceiling=max_condition, force=force)
     g_start = np.asarray(g0, dtype=float)
@@ -382,6 +393,8 @@ def fall_sim(file, ell, resolution, max_condition, force, g0, dt, t_end):
               help="Number of sphere-lattice points.")
 def fixed_points(file, ell, resolution, max_condition, force, grid):
     """Orientations with G x omega(G) = 0 (steady-fall cross-check)."""
+    from . import dynamics, freefall
+
     cfg = RunConfig(ell=ell, resolution=resolution,
                     condition_ceiling=max_condition, force=force)
     dynamics.check_grid_resolution(grid)
@@ -445,5 +458,18 @@ def nondim_cmd(rho, mu, gravity, d, thickness):
     }))
 
 
+def run():
+    """The process entry: ``main``, then every object left at exit is frozen,
+    so the interpreter's shutdown collections do not traverse them.
+
+    Only a process that ends here may freeze; callers of ``main`` (tests,
+    ``CliRunner``) keep their collector as it was.
+    """
+    try:
+        main(prog_name="hyperstokes")
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main(prog_name="hyperstokes")
+    run()

@@ -1,5 +1,6 @@
 """Command surface: outputs, exit codes, round trips, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hyperstokes
 from hyperstokes import HyperstokesError, bent_rod, octahedron_frame, rod
 from hyperstokes.cli import PhysicalParams, main, nondim
 from hyperstokes.serialize import body_from_dict, body_to_dict, json_text, load_body
@@ -31,6 +33,13 @@ print(_lapack.SOURCE, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
 """
 
 
+def _fresh_python(*args, check=True):
+    """``python *args`` in a fresh interpreter that imports this checkout's ``src/``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
+                          check=check, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("args, body", [
     ([], "tripod"),
     (["freefall"], "tripod"),
@@ -41,11 +50,8 @@ print(_lapack.SOURCE, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
 ], ids=["import", "freefall", "fixed-points", "symmetry", "resistance-helix"])
 def test_cli_loads_no_scipy(tmp_path, args, body):
     # a fresh interpreter: the other tests import scipy
-    src = Path(__file__).resolve().parents[1] / "src"
     argv = [args[0], str(tmp_path / f"{body}.json"), *args[1:]] if args else []
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
-                         env={**os.environ, "PYTHONPATH": str(src)},
-                         check=True, capture_output=True, text=True, timeout=120)
+    out = _fresh_python("-c", _SCIPY_PROBE, *argv)
     source, loaded = out.stdout.splitlines()[-1].split(" ", 1)
     if source != "numpy-openblas":
         pytest.skip("numpy's OpenBLAS was not found, so LAPACK comes from scipy")
@@ -54,12 +60,137 @@ def test_cli_loads_no_scipy(tmp_path, args, body):
 
 def test_cli_import_loads_no_concurrent_futures():
     # concurrent.futures brings logging, traceback and string: 5-8 ms a process
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = "import sys, hyperstokes.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe],
-                         env={**os.environ, "PYTHONPATH": str(src)},
-                         check=True, capture_output=True, text=True, timeout=120)
-    assert out.stdout.split()[-1] == "False"
+    assert _fresh_python("-c", probe).stdout.split()[-1] == "False"
+
+
+_SUBMODULE_PROBE = """
+import sys
+exec(sys.argv[1])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("hyperstokes."))))
+"""
+
+
+def _submodules_after(code: str) -> set[str]:
+    """The hyperstokes submodules that ``code`` leaves loaded in a fresh interpreter."""
+    out = _fresh_python("-c", _SUBMODULE_PROBE, code)
+    return {m.removeprefix("hyperstokes.") for m in out.stdout.splitlines()[-1].split()}
+
+
+def test_package_import_loads_no_submodule():
+    assert _submodules_after("import hyperstokes") == set()
+
+
+def test_cli_import_loads_no_solver_layer_above_resistance():
+    loaded = _submodules_after("import hyperstokes.cli")
+    assert not loaded & {"dynamics", "symmetry", "freefall"}
+
+
+def test_resistance_command_loads_neither_dynamics_nor_symmetry(tmp_path):
+    path = tmp_path / "tripod.json"
+    loaded = _submodules_after(
+        "from hyperstokes import cli\n"
+        "from hyperstokes.geometry import tripod_tetrahedron\n"
+        "from hyperstokes.serialize import body_to_dict, json_text\n"
+        f"open({str(path)!r}, 'w').write(json_text(body_to_dict(tripod_tetrahedron(1.0))))\n"
+        f"cli.main(['resistance', {str(path)!r}], standalone_mode=False)"
+    )
+    assert "mobility" in loaded
+    assert not loaded & {"dynamics", "symmetry"}
+
+
+# The names that the package exported by importing them eagerly, per module;
+# the lazy namespace must keep exactly these.
+_EXPORTED = {
+    "dynamics": ["FixedPointResult", "OrientationTrajectory", "find_fixed_points",
+                 "instantaneous_motion", "integrate_orientation"],
+    "errors": ["AssemblyError", "BodyConfigError", "HyperstokesError", "InvalidArgument",
+               "NoTranslationalOrientation", "SingularPointError", "SingularSystemError"],
+    "freefall": ["FreefallInput", "SteadyState", "build_F", "steady_states", "tilt_angle",
+                 "verify"],
+    "geometry": ["BodyGeometry", "DiscretizedBody", "MassProperties", "Segment", "bent_rod",
+                 "diameter", "discretize", "helix", "mass_properties", "octahedron_frame",
+                 "rod", "transform", "tripod_tetrahedron"],
+    "kernel": ["HyperKernel", "classical_oseen", "green_classical", "green_scalar",
+               "oseen_tensor", "stokeslet_pressure", "stokeslet_velocity"],
+    "mobility": ["KernelMatrix", "ResistanceSet", "assemble", "disturbance_velocity",
+                 "force_torque", "resistance", "solve_rigid"],
+    "symmetry": ["SymmetryReport", "check_geometric_invariance", "check_helicoidal_pattern",
+                 "check_plane_pattern", "check_transform_law", "symmetry_report",
+                 "translational_orientation_plane"],
+}
+_EXPORTED_NAMES = sorted(name for names in _EXPORTED.values() for name in names)
+
+
+class TestNamespace:
+    def test_all_lists_the_exported_names(self):
+        assert len(_EXPORTED_NAMES) == 52
+        assert sorted(hyperstokes.__all__) == _EXPORTED_NAMES
+
+    @pytest.mark.parametrize("module", sorted(_EXPORTED))
+    def test_each_name_is_its_modules_object(self, module):
+        import importlib
+
+        owner = importlib.import_module(f"hyperstokes.{module}")
+        for name in _EXPORTED[module]:
+            assert getattr(hyperstokes, name) is getattr(owner, name), name
+
+    def test_dir_lists_every_name(self):
+        assert set(_EXPORTED_NAMES) <= set(dir(hyperstokes))
+        assert "__version__" in dir(hyperstokes)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from hyperstokes import *", namespace)
+        assert set(_EXPORTED_NAMES) <= set(namespace)
+        assert namespace["rod"] is hyperstokes.rod
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hyperstokes.no_such_name
+        with pytest.raises(ImportError):
+            exec("from hyperstokes import no_such_name", {})
+
+
+class TestProcessEntry:
+    """``python -m hyperstokes.cli`` runs ``cli.run``: exit codes and streams of
+    ``main``, and a frozen collector at exit."""
+
+    def test_body_info(self, rod_file):
+        out = _fresh_python("-m", "hyperstokes.cli", "body", "info", rod_file)
+        assert json.loads(out.stdout)["result"]["m"] == pytest.approx(1.0)
+        assert out.stderr == ""
+
+    def test_missing_body_file(self, tmp_path):
+        out = _fresh_python("-m", "hyperstokes.cli", "resistance",
+                            str(tmp_path / "absent.json"), check=False)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[invalid-body]")
+
+    def test_missing_argument(self):
+        out = _fresh_python("-m", "hyperstokes.cli", "resistance", check=False)
+        assert out.returncode == 2
+        assert out.stderr.startswith("Usage: hyperstokes resistance [OPTIONS] FILE")
+        assert "Missing argument 'FILE'" in out.stderr
+
+    def test_version(self):
+        out = _fresh_python("-m", "hyperstokes.cli", "--version")
+        assert out.stdout == f"hyperstokes, version {hyperstokes.__version__}\n"
+
+    def test_run_freezes_the_collector(self):
+        probe = ("import gc, sys\nfrom hyperstokes import cli\n"
+                 "sys.argv = ['hyperstokes', '--version']\n"
+                 "try:\n    cli.run()\nexcept SystemExit as exc:\n    code = exc.code\n"
+                 "print(code, gc.get_freeze_count() > 0)")
+        assert _fresh_python("-c", probe).stdout.splitlines()[-1] == "0 True"
+
+    def test_main_leaves_the_collector_alone(self, runner, rod_file):
+        before = gc.get_freeze_count()
+        assert runner.invoke(main, ["body", "info", rod_file]).exit_code == 0
+        assert runner.invoke(main, ["--version"]).exit_code == 0
+        assert gc.get_freeze_count() == before
 
 
 @pytest.fixture()
