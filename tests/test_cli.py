@@ -1,6 +1,7 @@
 """Command surface: outputs, exit codes, round trips, determinism."""
 
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -129,8 +130,6 @@ class TestNamespace:
 
     @pytest.mark.parametrize("module", sorted(_EXPORTED))
     def test_each_name_is_its_modules_object(self, module):
-        import importlib
-
         owner = importlib.import_module(f"hyperstokes.{module}")
         for name in _EXPORTED[module]:
             assert getattr(hyperstokes, name) is getattr(owner, name), name
