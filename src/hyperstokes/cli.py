@@ -8,7 +8,7 @@ failures print a single machine-parsable line
 
 to stderr and exit with code 2.
 
-The solver layers above the resistance tensors (free fall, dynamics,
+The solver layers (mobility and, above it, free fall, dynamics and
 symmetry) are imported by the commands that call them, so a process pays
 only for the modules its command uses.
 """
@@ -21,10 +21,11 @@ from dataclasses import asdict, dataclass
 import click
 import numpy as np
 
-from . import __version__, geometry, mobility
+from . import __version__, geometry
 from .errors import HyperstokesError, InvalidArgument, SingularSystemError
 from .kernel import (
     HyperKernel,
+    _over_ell,
     green_classical,
     green_scalar,
     oseen_tensor,
@@ -131,6 +132,8 @@ def _body_summary(body, mass) -> dict:
 
 def _solve(body, config: RunConfig):
     """Discretize and compute the resistance tensors; enforce the condition ceiling."""
+    from . import mobility
+
     dbody = geometry.discretize(body, config.resolution)
     res = mobility.resistance(dbody, HyperKernel(ell=config.ell))
     if res.condition > config.condition_ceiling and not config.force:
@@ -224,7 +227,7 @@ def kernel_eval(x, ell, h):
     result = {
         "x": point,
         "ell": ell,
-        "s": float(r / ell),
+        "s": float(_over_ell(r, kern)),
         "g": float(green_scalar(point, kern)),
         "g_classical": None if at_origin else float(green_classical(point)),
         "Z": oseen_tensor(point, kern),

@@ -183,6 +183,8 @@ def steady_states(inp: FreefallInput, tol_trans: float | None = None) -> list[St
     tol_cluster = 1e-8 * max(norm_f, 1e-300)
     tol_lambda = tol_trans if tol_trans is not None else 1e-8 * norm_f
 
+    # LAPACK's real geev gives each 1x1 block of the real Schur form (a real 3x3
+    # matrix has one) an eigenvalue with imaginary part 0: one pair is always kept
     order = np.argsort(eigvals.real)
     kept: list[tuple[float, np.ndarray]] = []
     for idx in order:
@@ -190,23 +192,13 @@ def steady_states(inp: FreefallInput, tol_trans: float | None = None) -> list[St
         if abs(lam.imag) > tol_imag:
             continue
         vec = eigvecs[:, idx].real
-        nv = np.linalg.norm(vec)
-        if nv == 0.0:
-            continue
-        g = vec / nv
+        g = vec / np.linalg.norm(vec)
         if any(
             abs(lam.real - l0) <= tol_cluster and abs(g @ g0) >= 1.0 - 1e-10
             for l0, g0 in kept
         ):
             continue
         kept.append((lam.real, g))
-
-    if not kept:
-        # a real 3x3 matrix always has a real eigenvalue; if roundoff hides
-        # it behind a tiny imaginary part, fall back to the least-complex one
-        idx = int(np.argmin(np.abs(eigvals.imag)))
-        vec = eigvecs[:, idx].real
-        kept.append((eigvals[idx].real, vec / np.linalg.norm(vec)))
 
     for lam, g in kept:
         if g[int(np.argmax(np.abs(g)))] < 0.0:  # the sign eig returns is arbitrary

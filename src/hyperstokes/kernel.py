@@ -79,6 +79,13 @@ class HyperKernel:
             raise InvalidArgument(f"ell must be positive and finite, got {self.ell}")
 
 
+def _over_ell(r, kernel: HyperKernel) -> np.ndarray:
+    """s = r / ell, inf where it leaves the float range; the kernels are then 0,
+    which is within 1 / (4 pi ell max_float) of their true values."""
+    with np.errstate(over="ignore"):
+        return r / kernel.ell
+
+
 def _as_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
@@ -221,7 +228,7 @@ def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
     """
     x = _as_points(x)
     r = scaled_norm(x, axis=-1)
-    s = r / kernel.ell
+    s = _over_ell(r, kernel)
     small = s < kernel.series_threshold
     out = np.empty_like(s)
     if np.any(~small):
@@ -239,7 +246,15 @@ def green_classical(x) -> np.ndarray:
     r = scaled_norm(x, axis=-1)
     if np.any(r == 0.0):
         raise SingularPointError("classical Green's function is singular at x = 0")
-    return 1.0 / (4.0 * pi * r)
+    with np.errstate(over="ignore"):  # 0 or inf near the ends of the float range: the limits
+        return 1.0 / (4.0 * pi * r)
+
+
+def _brackets(x: np.ndarray, kernel: HyperKernel):
+    """(D(s)/s, Y(s)/s, xhat) at the points x; xhat = 0 at x = 0."""
+    r = scaled_norm(x, axis=-1)
+    dr, yr = _factors_over_s(_over_ell(r, kernel), kernel)
+    return dr, yr, x / np.where(r > 0.0, r, 1.0)[..., None]
 
 
 def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
@@ -249,23 +264,20 @@ def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
 
     Symmetric and even in x; Z(0) = I/(6 pi ell) by continuity.
     """
-    x = _as_points(x)
-    r = scaled_norm(x, axis=-1)
-    s = r / kernel.ell
-    dr, yr = _factors_over_s(s, kernel)
-    safe = np.where(r > 0.0, r, 1.0)
-    xhat = x / safe[..., None]
-    eye = np.eye(3)
+    dr, yr, xhat = _brackets(_as_points(x), kernel)
     outer = xhat[..., :, None] * xhat[..., None, :]
-    return (dr[..., None, None] * eye + yr[..., None, None] * outer) / (
+    return (dr[..., None, None] * np.eye(3) + yr[..., None, None] * outer) / (
         8.0 * pi * kernel.ell
     )
 
 
 def stokeslet_velocity(x, h, kernel: HyperKernel) -> np.ndarray:
-    """Velocity zeta(x) = Z(x) h induced by a point force h at the origin."""
+    """Velocity zeta(x) = Z(x) h induced by a point force h at the origin, as
+    [D(s)/s * h + Y(s)/s * xhat (xhat . h)] / (8 pi ell) without forming Z."""
     h = _as_points(h)
-    return (oseen_tensor(x, kernel) @ h[..., None])[..., 0]
+    dr, yr, xhat = _brackets(_as_points(x), kernel)
+    along = yr * (xhat * h).sum(axis=-1)
+    return (dr[..., None] * h + along[..., None] * xhat) / (8.0 * pi * kernel.ell)
 
 
 def stokeslet_pressure(x, h) -> np.ndarray:
@@ -288,8 +300,9 @@ def stokeslet_pressure(x, h) -> np.ndarray:
     if redo.any():
         mantissa, exponent = np.frexp(r[redo])
         u = np.ldexp(x[redo], -exponent[:, None])
-        p[redo] = np.ldexp(np.einsum("...i,...i->...", u, h[redo]) / (4.0 * pi * mantissa**3),
-                           -2 * exponent)
+        with np.errstate(over="ignore"):  # inf near the origin is the limit
+            p[redo] = np.ldexp(np.einsum("...i,...i->...", u, h[redo]) / (4.0 * pi * mantissa**3),
+                               -2 * exponent)
     return p[()]
 
 
@@ -301,4 +314,5 @@ def classical_oseen(x) -> np.ndarray:
         raise SingularPointError("classical Oseen tensor is singular at x = 0")
     xhat = x / r[..., None]
     outer = xhat[..., :, None] * xhat[..., None, :]
-    return (np.eye(3) + outer) / (8.0 * pi * r[..., None, None])
+    with np.errstate(over="ignore"):  # 0 or inf near the ends of the float range: the limits
+        return (np.eye(3) + outer) / (8.0 * pi * r[..., None, None])

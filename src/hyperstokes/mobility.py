@@ -55,7 +55,8 @@ import numpy as np
 from ._lapack import cho_factor, cho_solve, lansy, pocon, single_threaded
 from .errors import AssemblyError, InvalidArgument, SingularSystemError, _check_memory
 from .geometry import DiscretizedBody, Involution
-from .kernel import HyperKernel, _as_points, _factors_over_s, oseen_tensor
+from .kernel import HyperKernel, _as_points, _factors_over_s, stokeslet_velocity
+from .kernel import oseen_tensor  # unused here; perfbench/tracing.py patches this name
 
 __all__ = [
     "KernelMatrix",
@@ -569,11 +570,13 @@ def solve_rigid(km: KernelMatrix, xi, omega) -> np.ndarray:
 
 
 def _force_density(f, dbody: DiscretizedBody) -> np.ndarray:
-    """``f`` as a float array; InvalidArgument unless it has one 3-vector per node."""
+    """``f`` as a float array; InvalidArgument unless it has one finite 3-vector per node."""
     f = np.asarray(f, dtype=float)
     if f.shape != dbody.nodes.shape:
         raise InvalidArgument(f"force density shape {f.shape} does not match body "
                               f"({dbody.nodes.shape})")
+    if not np.all(np.isfinite(f)):
+        raise InvalidArgument("non-finite component in force density")
     return f
 
 
@@ -684,17 +687,18 @@ def disturbance_velocity(
     """Fluid velocity u(x) = sum_k Z(x - x_k) w_k f_k at points x of shape (..., 3).
 
     The points are taken in chunks of about ``_ASSEMBLY_CHUNK_PAIRS``
-    point-node pairs, so that only one chunk's Oseen tensors are held at a
-    time.
+    point-node pairs, so that only one chunk's pair velocities are held at a
+    time.  Each point's velocities are summed over the nodes in node order,
+    so its bits do not depend on the chunking.
     """
     x_eval = _as_points(x_eval)
-    wf = np.einsum("k,kj->kj", dbody.weights, _force_density(f, dbody))
+    wf = dbody.weights[:, None] * _force_density(f, dbody)
     points = x_eval.reshape(-1, 3)
     u = np.empty_like(points)
     step = max(1, _ASSEMBLY_CHUNK_PAIRS // max(dbody.n_nodes, 1))
     for lo in range(0, len(points), step):
-        z = oseen_tensor(points[lo:lo + step, None, :] - dbody.nodes, kernel)
-        u[lo:lo + step] = np.einsum("pkij,kj->pi", z, wf)
+        pairs = points[lo:lo + step, None, :] - dbody.nodes
+        u[lo:lo + step] = stokeslet_velocity(pairs, wf, kernel).sum(axis=1)
     return u.reshape(x_eval.shape)
 
 

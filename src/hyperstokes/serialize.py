@@ -104,6 +104,19 @@ def body_to_dict(body: BodyGeometry) -> dict:
     }
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """``value``, a JSON number or nested lists of them, as a float array;
+    booleans and strings, which numpy would convert, are refused."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise BodyConfigError(f"{what} must hold numbers only, not {type(item).__name__}")
+    return np.asarray(value, dtype=float)
+
+
 def body_from_dict(data) -> BodyGeometry:
     if not isinstance(data, dict):
         raise BodyConfigError("body file must contain a JSON object")
@@ -122,12 +135,10 @@ def body_from_dict(data) -> BodyGeometry:
             raise BodyConfigError(f"segment {i} must be an object with 'points'")
         try:
             segments.append(
-                Segment(points=np.asarray(raw["points"], dtype=float),
-                        density=np.asarray(raw.get("density", 1.0), dtype=float))
+                Segment(points=_numbers(raw["points"], "'points'"),
+                        density=_numbers(raw.get("density", 1.0), "'density'"))
             )
-        except (TypeError, ValueError) as exc:
-            raise BodyConfigError(f"segment {i}: {exc}") from None
-        except BodyConfigError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # BodyConfigError among them
             raise BodyConfigError(f"segment {i}: {exc}") from None
     return BodyGeometry(name=name, segments=tuple(segments), m_c=float(m_c))
 

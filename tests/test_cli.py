@@ -83,8 +83,9 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_no_solver_layer_above_resistance():
+    # nor mobility and its LAPACK binding: body info, kernel eval and nondim never solve
     loaded = _submodules_after("import hyperstokes.cli")
-    assert not loaded & {"dynamics", "symmetry", "freefall"}
+    assert not loaded & {"dynamics", "symmetry", "freefall", "mobility", "_lapack"}
 
 
 def test_resistance_command_loads_neither_dynamics_nor_symmetry(tmp_path):
@@ -292,6 +293,21 @@ class TestBodyIO:
         with pytest.raises(BodyConfigError):
             load_body(str(bad))
 
+    @pytest.mark.parametrize("segments, message", [
+        ([{"points": [[0, 0, 0], [1, 0, 0]], "density": True}], "segment 0: 'density'"),
+        ([{"points": [[0, 0, 0], [1, 0, 0]], "density": "2.5"}], "segment 0: 'density'"),
+        ([{"points": [[False, 0, 0], [True, 0, 0]]}], "segment 0: 'points'"),
+        ([{"points": [[0, 0, 0], [1, 0, 0]]}, {"points": [["0", "0", "0"], [1, 0, 0]]}],
+         "segment 1: 'points'"),
+        ([{"points": [[0, 0, 0], [10**400, 0, 0]]}], "segment 0: int too large"),
+    ], ids=["bool-density", "string-density", "bool-points", "string-points", "huge-int"])
+    def test_info_refuses_non_numbers(self, runner, tmp_path, segments, message):
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps({"name": "x", "segments": segments}))
+        result = runner.invoke(main, ["body", "info", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error[invalid-body]: {message}")
+
     def test_info_rejects_m_c_above_mass(self, runner, tmp_path):
         body = rod(1.0)
         data = body_to_dict(body)
@@ -367,6 +383,16 @@ class TestFreefallCommand:
             assert st["lambda"] == 0.0
             assert st["consistent"] is True
 
+    def test_rod_has_no_eigenproblem(self, runner, rod_file):
+        # B is singular for the rod, so F cannot be built; every orientation falls steadily
+        result = runner.invoke(main, ["freefall", rod_file])
+        assert result.exit_code == 0
+        data = json.loads(result.stdout)["result"]
+        assert data["F"] is None
+        assert data["eigenvalues"] == []
+        assert len(data["states"]) == 6
+        assert all(st["note"].startswith("degenerate") for st in data["states"])
+
     def test_bent_rod_tilt_column(self, runner, bent_file):
         result = runner.invoke(
             main, ["freefall", bent_file, "--axis", "0", "0", "1"]
@@ -439,6 +465,15 @@ class TestKernelCommand:
         if x > 1.0:
             assert np.diag(z) == pytest.approx(np.array([1.0, 2.0, 1.0]) / (8.0 * pi * x),
                                                rel=1e-15)
+
+    @pytest.mark.parametrize("x", ["1e308", "1e-320", "1e-200"])
+    def test_eval_out_of_range_without_warnings(self, runner, x):
+        # s and the classical kernels overflow to their limits, 0 or inf
+        result = runner.invoke(main, ["kernel", "eval", "--x", x, "0", "0", "--h", "1", "0", "0"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        data = json.loads(result.stdout)["result"]
+        assert data["pressure"] == (0.0 if x == "1e308" else "inf")
 
 
 class TestTrajectoryCommands:
@@ -584,6 +619,18 @@ class TestSymmetryCommand:
         assert data["result"]["invariant"] is True
         assert data["result"]["heli_pattern"] is True
         assert max(data["result"]["tensor_residuals"]) < 1e-8
+
+    def test_helix_has_no_translational_orientation(self, runner, tmp_path):
+        # C's singular values are 0.032, 0.024 and 0.015 at the defaults
+        from hyperstokes import helix
+
+        path = tmp_path / "helix.json"
+        path.write_text(json_text(body_to_dict(helix(0.2, 0.1, 3))))
+        result = runner.invoke(main, ["symmetry", str(path)])
+        assert result.exit_code == 0
+        data = json.loads(result.stdout)["result"]
+        assert data["translational_g"] is None
+        assert data["coupling_nullity"] == 0
 
     def test_non_orthogonal_transform_rejected(self, runner, rod_file):
         q = [2, 0, 0, 0, 1, 0, 0, 0, 1]

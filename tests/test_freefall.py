@@ -183,6 +183,18 @@ class TestSteadyStates:
             assert np.allclose(a.xi, -b.xi)
             assert a.residual_force == pytest.approx(b.residual_force, abs=1e-13)
 
+    def test_defective_eigenvalue_gives_one_pair(self):
+        # F = J has lambda = 1 twice with one eigenvector: eig returns it twice,
+        # up to roundoff, and the second copy is dropped
+        jordan = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        inp = synthetic_input(np.eye(3), np.zeros((3, 3)), jordan, -np.eye(3))
+        assert np.array_equal(build_F(inp), jordan)
+        states = steady_states(inp)
+        assert [(st.lam, st.multiplicity) for st in states] == [(1.0, 2), (1.0, 2),
+                                                                 (2.0, 1), (2.0, 1)]
+        assert np.allclose(states[0].g, [1.0, 0.0, 0.0])
+        assert np.allclose(states[2].g, [0.0, 0.0, 1.0])
+
     def test_existence_across_suite(self, suite_solutions, rng):
         for (name, _), (dbody, res) in suite_solutions.items():
             for _ in range(3):

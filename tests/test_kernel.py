@@ -233,6 +233,33 @@ class TestStokeslet:
         assert normal == 0.0
 
 
+class TestResultsOutOfRange:
+    """Finite points whose kernel values leave the float range give the IEEE
+    limits, 0 or inf, without a RuntimeWarning (an error in this suite)."""
+
+    K = HyperKernel(ell=0.1)
+    E1 = np.array([1.0, 0.0, 0.0])
+
+    def test_far_point_gives_zero(self):
+        x = 1e308 * self.E1  # s = |x| / ell overflows, and so does 4 pi |x|
+        for value in (green_scalar(x, self.K), green_classical(x), oseen_tensor(x, self.K),
+                      classical_oseen(x), stokeslet_velocity(x, self.E1, self.K),
+                      stokeslet_pressure(x, self.E1)):
+            assert np.array_equal(value, np.zeros_like(value))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-320])
+    def test_near_point_gives_origin_values_and_inf(self, scale):
+        x = scale * self.E1
+        assert stokeslet_pressure(x, self.E1) == np.inf
+        assert np.array_equal(green_scalar(x, self.K), green_scalar(np.zeros(3), self.K))
+        assert np.array_equal(oseen_tensor(x, self.K), oseen_tensor(np.zeros(3), self.K))
+        assert np.array_equal(stokeslet_velocity(x, self.E1, self.K),
+                              stokeslet_velocity(np.zeros(3), self.E1, self.K))
+        if scale == 1e-320:  # 1 / (4 pi |x|) overflows below about 4e-310
+            assert green_classical(x) == np.inf
+            assert np.array_equal(classical_oseen(x), np.diag([np.inf] * 3))
+
+
 class TestBranchesAndFactors:
     @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.3, 0.5])
     def test_branch_continuity(self, threshold):
