@@ -43,9 +43,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 _NODE_BYTES = 100  # a node's position, weight and density, with their per-edge pieces
-_DIAMETER_CHUNK_PAIRS = 250_000
-_NEIGHBOR_CHUNK_PAIRS = 250_000
-_TOUCH_CHUNK_PAIRS = 250_000
+_CHUNK_PAIRS = 250_000  # point pairs per step of the diameter, neighbour and touch searches
 _INVOLUTION_RTOL = 1e-12  # node positions match to this fraction of the cloud's radius
 _INVOLUTION_CANDIDATES = 64  # anchor images tried before giving up
 _INVOLUTION_SCREEN = 16  # about this many nodes checked before a candidate gets the full match
@@ -206,7 +204,7 @@ def _cloud_diameter(points: np.ndarray) -> float:
     """
     coords = np.asarray(points, dtype=float).T.copy()
     n = coords.shape[1]
-    chunk = max(1, _DIAMETER_CHUNK_PAIRS // n)
+    chunk = max(1, _CHUNK_PAIRS // n)
     d2 = 0.0
     for lo in range(0, n, chunk):
         block = np.zeros((min(chunk, n - lo), n))
@@ -248,7 +246,7 @@ def nearest_neighbors(points, queries, k: int = 1):
     half = 2 * k
     while todo.size:
         width = min(2 * half, n)
-        rows = max(1, _NEIGHBOR_CHUNK_PAIRS // width)
+        rows = max(1, _CHUNK_PAIRS // width)
         retry = []
         for lo in range(0, todo.size, rows):
             q = todo[lo:lo + rows]
@@ -423,7 +421,7 @@ def _warn_if_disconnected(body: BodyGeometry) -> None:
     steps = np.vstack([np.diff(s.points, axis=0) for s in body.segments])
     edge_segment = np.repeat(np.arange(n), [len(s.density) for s in body.segments])
     touch = np.zeros((n, n), dtype=bool)
-    rows = max(1, _TOUCH_CHUNK_PAIRS // len(starts))
+    rows = max(1, _CHUNK_PAIRS // len(starts))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed distance touches nothing
         for lo in range(0, 2 * n, rows):
             rel = ends[lo:lo + rows, None] - starts

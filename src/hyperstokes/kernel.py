@@ -44,8 +44,6 @@ __all__ = [
     "stokeslet_velocity",
     "stokeslet_pressure",
     "classical_oseen",
-    "identity_factor",
-    "dyadic_factor",
 ]
 
 # below this norm the sum of squares is subnormal and has lost digits
@@ -80,8 +78,8 @@ class HyperKernel:
 
 
 def _over_ell(r, kernel: HyperKernel) -> np.ndarray:
-    """s = r / ell, inf where it leaves the float range; the kernels are then 0,
-    which is within 1 / (4 pi ell max_float) of their true values."""
+    """s = r / ell, inf where it leaves the float range; the kernels then take
+    their classical limits (:func:`green_scalar`, :func:`_brackets`)."""
     with np.errstate(over="ignore"):
         return r / kernel.ell
 
@@ -206,25 +204,12 @@ def _factors_over_s(s: np.ndarray, kernel: HyperKernel):
     return dr.reshape(s.shape), yr.reshape(s.shape)
 
 
-def identity_factor(s, kernel: HyperKernel) -> np.ndarray:
-    """Coefficient of delta_ij / (8 pi |x|) in the Oseen tensor, as a function of s."""
-    s = np.asarray(s, dtype=float)
-    dr, _ = _factors_over_s(s, kernel)
-    return dr * s
-
-
-def dyadic_factor(s, kernel: HyperKernel) -> np.ndarray:
-    """Coefficient of x_i x_j / (8 pi |x|^3) in the Oseen tensor, as a function of s."""
-    s = np.asarray(s, dtype=float)
-    _, yr = _factors_over_s(s, kernel)
-    return yr * s
-
-
 def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
     """Screened Green's function g(x) = (1 - exp(-|x|/ell)) / (4 pi |x|).
 
     Defined for every x: g -> 1/(4 pi ell) as x -> 0, and g -> 1/(4 pi |x|)
-    (the Laplace fundamental solution) as ell -> 0 at fixed |x|.
+    (the Laplace fundamental solution) as ell -> 0 at fixed |x|.  Where s =
+    |x|/ell leaves the float range, g is that limit, :func:`green_classical`.
     """
     x = _as_points(x)
     r = scaled_norm(x, axis=-1)
@@ -237,7 +222,10 @@ def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
     if np.any(small):
         _, _, e = _series_coeffs(kernel.series_terms)
         out[small] = _horner(e, s[small])
-    return out / (4.0 * pi * kernel.ell)
+    far = np.isinf(s)  # there g = (1 - e^{-s}) / (4 pi r), with 1 - e^{-s} = 1
+    out[far] = 1.0
+    with np.errstate(over="ignore"):  # 0 near the end of the float range: the limit
+        return out / (4.0 * pi * np.where(far, r, kernel.ell))
 
 
 def green_classical(x) -> np.ndarray:
@@ -251,10 +239,19 @@ def green_classical(x) -> np.ndarray:
 
 
 def _brackets(x: np.ndarray, kernel: HyperKernel):
-    """(D(s)/s, Y(s)/s, xhat) at the points x; xhat = 0 at x = 0."""
+    """(D(s)/s, Y(s)/s, xhat, 8 pi ell) at the points x; xhat = 0 at x = 0.
+
+    Where s leaves the float range, both brackets are D = Y = 1 and the last
+    entry is 8 pi r, which gives the classical limit (I + xhat xhat^T) / (8 pi r).
+    """
     r = scaled_norm(x, axis=-1)
-    dr, yr = _factors_over_s(_over_ell(r, kernel), kernel)
-    return dr, yr, x / np.where(r > 0.0, r, 1.0)[..., None]
+    s = _over_ell(r, kernel)
+    dr, yr = _factors_over_s(s, kernel)
+    far = np.isinf(s)
+    dr[far] = yr[far] = 1.0
+    with np.errstate(over="ignore"):  # inf near the end of the float range: a kernel of 0
+        scale = 8.0 * pi * np.where(far, r, kernel.ell)
+    return dr, yr, x / np.where(r > 0.0, r, 1.0)[..., None], scale
 
 
 def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
@@ -262,22 +259,21 @@ def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
 
     Z(x) = [D(s)/s * I + Y(s)/s * xhat xhat^T] / (8 pi ell),  s = |x|/ell.
 
-    Symmetric and even in x; Z(0) = I/(6 pi ell) by continuity.
+    Symmetric and even in x; Z(0) = I/(6 pi ell) by continuity, and Z is
+    :func:`classical_oseen` where s leaves the float range.
     """
-    dr, yr, xhat = _brackets(_as_points(x), kernel)
+    dr, yr, xhat, scale = _brackets(_as_points(x), kernel)
     outer = xhat[..., :, None] * xhat[..., None, :]
-    return (dr[..., None, None] * np.eye(3) + yr[..., None, None] * outer) / (
-        8.0 * pi * kernel.ell
-    )
+    return (dr[..., None, None] * np.eye(3) + yr[..., None, None] * outer) / scale[..., None, None]
 
 
 def stokeslet_velocity(x, h, kernel: HyperKernel) -> np.ndarray:
     """Velocity zeta(x) = Z(x) h induced by a point force h at the origin, as
     [D(s)/s * h + Y(s)/s * xhat (xhat . h)] / (8 pi ell) without forming Z."""
     h = _as_points(h)
-    dr, yr, xhat = _brackets(_as_points(x), kernel)
+    dr, yr, xhat, scale = _brackets(_as_points(x), kernel)
     along = yr * (xhat * h).sum(axis=-1)
-    return (dr[..., None] * h + along[..., None] * xhat) / (8.0 * pi * kernel.ell)
+    return (dr[..., None] * h + along[..., None] * xhat) / scale[..., None]
 
 
 def stokeslet_pressure(x, h) -> np.ndarray:

@@ -62,7 +62,6 @@ __all__ = [
     "KernelMatrix",
     "ResistanceSet",
     "assemble",
-    "symmetrized_matrix",
     "solve_rigid",
     "force_torque",
     "resistance",
@@ -79,14 +78,14 @@ class KernelMatrix:
     """Factorized collocation system for one body and kernel.
 
     Only the Cholesky factors of the symmetrized system W^{1/2} M W^{1/2}
-    are kept (:func:`symmetrized_matrix` returns the system itself), split
-    by the orbits of the body's involution: ``_factor`` holds one
-    ``(factor, lower)`` pair per non-empty block, as :func:`_triangles`
-    gives them, the larger block first.  A body without symmetry has the
-    single block of its identity case, the whole system.  ``condition`` is
-    LAPACK's 1-norm estimate for the split, block-diagonal system that was
-    factored: a lower bound on that system's condition number only
-    (:func:`assemble`).
+    are kept: they overwrite the system's triangles, and the system itself
+    is not kept anywhere.  They are split by the orbits of the body's
+    involution: ``_factor`` holds one ``(factor, lower)`` pair per
+    non-empty block, as :func:`_triangles` gives them, the larger block
+    first.  A body without symmetry has the single block of its identity
+    case, the whole system.  ``condition`` is LAPACK's 1-norm estimate for
+    the split, block-diagonal system that was factored: a lower bound on
+    that system's condition number only (:func:`assemble`).
     """
 
     body: DiscretizedBody
@@ -208,7 +207,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _column_blocks(n: int, pairs: int = 0) -> list[tuple[int, int]]:
+def _column_blocks(n: int, pairs: int) -> list[tuple[int, int]]:
     """Orbit ranges [lo, hi) of the fill steps, one column block each.
 
     A pair column evaluates two node pairs (direct and cross) per row, so
@@ -405,28 +404,6 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
     spacings, diams = zip(*extents)
     if min(spacings) < 1e-12 * max(*diams, 1e-300):
         raise AssemblyError(f"coincident quadrature nodes (min spacing {min(spacings):.3e})")
-
-
-def symmetrized_matrix(dbody: DiscretizedBody, kernel: HyperKernel) -> np.ndarray:
-    """The symmetrized system W^{1/2} M W^{1/2} as a Fortran-order (3N, 3N) array.
-
-    The full matrix, for tests and inspection: the lower triangle of the
-    fill's identity case, mirrored into the upper one, so it equals its
-    transpose bit for bit.
-
-    Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
-    a matrix larger than physical or available memory.
-    """
-    n = dbody.n_nodes
-    orbits = _Orbits.of(Involution.identity(n))
-    mt = _empty_matrix(*orbits.orders)
-    _fill_lower(mt, dbody, kernel, orbits)
-    _norm(mt, True)
-    for lo, hi in _column_blocks(n):
-        square = mt[3 * lo:3 * hi, 3 * lo:3 * hi]
-        square[...] = np.where(np.tri(len(square), dtype=bool), square, square.T)
-        mt[3 * lo:3 * hi, 3 * hi:] = mt[3 * hi:, 3 * lo:3 * hi].T
-    return mt
 
 
 def _norm(c: np.ndarray, lower: bool) -> float:

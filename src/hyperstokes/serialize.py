@@ -126,6 +126,10 @@ def body_from_dict(data) -> BodyGeometry:
     m_c = data.get("m_c", 0.0)
     if not isinstance(m_c, (int, float)) or isinstance(m_c, bool):
         raise BodyConfigError("body 'm_c' must be a number")
+    try:
+        m_c = float(m_c)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise BodyConfigError(f"body 'm_c': {exc}") from None
     raw_segments = data.get("segments")
     if not isinstance(raw_segments, list) or not raw_segments:
         raise BodyConfigError("body 'segments' must be a non-empty list")
@@ -140,7 +144,7 @@ def body_from_dict(data) -> BodyGeometry:
             )
         except (TypeError, ValueError, OverflowError) as exc:  # BodyConfigError among them
             raise BodyConfigError(f"segment {i}: {exc}") from None
-    return BodyGeometry(name=name, segments=tuple(segments), m_c=float(m_c))
+    return BodyGeometry(name=name, segments=tuple(segments), m_c=m_c)
 
 
 def load_body(path: str) -> BodyGeometry:

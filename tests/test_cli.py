@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import hyperstokes
-from hyperstokes import HyperstokesError, bent_rod, octahedron_frame, rod
+from hyperstokes import HyperstokesError, bent_rod, classical_oseen, octahedron_frame, rod
 from hyperstokes.cli import PhysicalParams, main, nondim
 from hyperstokes.serialize import body_from_dict, body_to_dict, json_text, load_body
 
@@ -308,6 +308,15 @@ class TestBodyIO:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error[invalid-body]: {message}")
 
+    def test_info_refuses_m_c_beyond_float_range(self, runner, tmp_path):
+        path = tmp_path / "body.json"
+        data = body_to_dict(rod(1.0))
+        data["m_c"] = 10**400  # a JSON integer float() cannot take
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["body", "info", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error[invalid-body]: body 'm_c': int too large")
+
     def test_info_rejects_m_c_above_mass(self, runner, tmp_path):
         body = rod(1.0)
         data = body_to_dict(body)
@@ -465,6 +474,17 @@ class TestKernelCommand:
         if x > 1.0:
             assert np.diag(z) == pytest.approx(np.array([1.0, 2.0, 1.0]) / (8.0 * pi * x),
                                                rel=1e-15)
+
+    def test_eval_with_overflowed_s_gives_classical_values(self, runner):
+        # s = |x| / ell leaves the float range: g and Z are their classical limits
+        result = runner.invoke(main, ["kernel", "eval", "--ell", "1e-300", "--x", "1e10", "0", "0"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        data = json.loads(result.stdout)["result"]
+        assert data["s"] == "inf"
+        assert data["g"] == data["g_classical"] == pytest.approx(1.0 / (4.0 * pi * 1e10),
+                                                                  rel=1e-15)
+        assert np.array_equal(data["Z"], classical_oseen(np.array([1e10, 0.0, 0.0])))
 
     @pytest.mark.parametrize("x", ["1e308", "1e-320", "1e-200"])
     def test_eval_out_of_range_without_warnings(self, runner, x):

@@ -150,7 +150,7 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("chunk_pairs", [250_000, 997])
     def test_diameter_matches_one_shot_formula(self, bodies, monkeypatch, chunk_pairs):
-        monkeypatch.setattr(geometry, "_DIAMETER_CHUNK_PAIRS", chunk_pairs)
+        monkeypatch.setattr(geometry, "_CHUNK_PAIRS", chunk_pairs)
         for name, body in bodies.items():
             dbody = discretize(body, 16)
             x = dbody.nodes
@@ -216,7 +216,7 @@ class TestNearestNeighbors:
     def test_clouds_match_kd_tree(self, rng, monkeypatch, chunk_pairs, k):
         from scipy.spatial import cKDTree
 
-        monkeypatch.setattr(geometry, "_NEIGHBOR_CHUNK_PAIRS", chunk_pairs)
+        monkeypatch.setattr(geometry, "_CHUNK_PAIRS", chunk_pairs)
         for n in (3, 37, 500):
             points = rng.standard_normal((n, 3)) * [1.0, 5.0, 0.2]
             queries = rng.standard_normal((n + 5, 3))
@@ -558,7 +558,7 @@ class TestValidation:
         assert not [w for w in recwarn.list if "disconnected" in str(w.message)]
 
     def test_connectivity_matches_pairwise_reference(self, rng, monkeypatch):
-        monkeypatch.setattr(geometry, "_TOUCH_CHUNK_PAIRS", 7)  # about one end per chunk
+        monkeypatch.setattr(geometry, "_CHUNK_PAIRS", 7)  # about one end per chunk
         outcomes = set()
         for _ in range(40):
             segs = []

@@ -24,8 +24,6 @@ from hyperstokes.kernel import (
     _factors_over_s_series,
     _horner,
     _series_coeffs,
-    dyadic_factor,
-    identity_factor,
     scaled_norm,
 )
 
@@ -247,6 +245,23 @@ class TestResultsOutOfRange:
                       stokeslet_pressure(x, self.E1)):
             assert np.array_equal(value, np.zeros_like(value))
 
+    @pytest.mark.parametrize("ell, r", [(1e-300, 1e10), (1e-10, 1e299), (0.1, 1e308)])
+    def test_overflowed_s_gives_classical_limits(self, ell, r):
+        # s = r / ell leaves the float range at an ordinary r when ell is tiny
+        k = HyperKernel(ell=ell)
+        x = r * np.array([0.6, 0.0, -0.8])
+        g, z = green_scalar(x, k), oseen_tensor(x, k)
+        assert g == green_classical(x)
+        assert np.array_equal(z, classical_oseen(x))
+        assert np.array_equal(stokeslet_velocity(x, self.E1, k), z @ self.E1)
+        if r < 1e300:  # not rounded to 0
+            assert g == pytest.approx(1.0 / (4.0 * np.pi * r), rel=1e-15)
+        # a batch with finite s as well: those keep their screened values
+        near = np.array([0.5 * ell, 0.0, 0.0])
+        both = np.array([near, x])
+        assert np.array_equal(green_scalar(both, k), [green_scalar(near, k), g])
+        assert np.array_equal(oseen_tensor(both, k), [oseen_tensor(near, k), z])
+
     @pytest.mark.parametrize("scale", [1e-200, 1e-320])
     def test_near_point_gives_origin_values_and_inf(self, scale):
         x = scale * self.E1
@@ -311,18 +326,20 @@ class TestBranchesAndFactors:
             assert _horner(coeffs, s)[0] == pytest.approx(-np.expm1(-thr) / thr, rel=1e-12)
 
     def test_factor_limits(self):
-        k = HyperKernel(ell=1.0)
+        # D(s) and Y(s), the coefficients of delta_ij / (8 pi |x|) and
+        # x_i x_j / (8 pi |x|^3) in the Oseen tensor, tend to 1
         s = np.array([1e4, 1e6])
-        assert np.allclose(identity_factor(s, k), 1.0, atol=3e-8)
-        assert np.allclose(dyadic_factor(s, k), 1.0, atol=3e-8)
+        dr, yr = _factors_over_s(s, HyperKernel(ell=1.0))
+        assert np.allclose(dr * s, 1.0, atol=3e-8)
+        assert np.allclose(yr * s, 1.0, atol=3e-8)
 
     def test_factor_bounds(self):
         # the dyadic factor stays in [0, 1]; the identity factor overshoots 1
         # (max ~1.0807 near s = 3.5) before approaching 1 like 1 + 2/s^2
         k = HyperKernel(ell=1.0)
         s = np.concatenate([np.linspace(1e-4, 20.0, 4000), np.logspace(1.5, 6, 100)])
-        ident = identity_factor(s, k)
-        dyad = dyadic_factor(s, k)
+        dr, yr = _factors_over_s(s, k)
+        ident, dyad = dr * s, yr * s
         assert np.all(dyad >= 0.0) and np.all(dyad <= 1.0)
         assert np.all(ident >= 0.0) and np.all(ident <= 1.081)
         assert ident.max() > 1.05  # the overshoot is real, not roundoff

@@ -35,7 +35,7 @@ from hyperstokes import (
 )
 from hyperstokes import _lapack
 from hyperstokes.geometry import Involution
-from hyperstokes.mobility import dissipation, symmetrized_matrix
+from hyperstokes.mobility import dissipation
 
 
 def nan_matrix(a, b):
@@ -87,9 +87,29 @@ def orbit_bases(dbody):
     return bases
 
 
+def filled_lower(dbody, kernel):
+    """The lower triangle of W^{1/2} M W^{1/2} as the fill writes it in the
+    identity case, zeros above, as a Fortran-order (3N, 3N) array."""
+    import hyperstokes.mobility as mob
+
+    orbits = mob._Orbits.of(Involution.identity(dbody.n_nodes))
+    mt = mob._empty_matrix(*orbits.orders)
+    mob._fill_lower(mt, dbody, kernel, orbits)
+    return np.asfortranarray(np.tril(mt))
+
+
+def oseen_matrix(dbody, kernel):
+    """W^{1/2} M W^{1/2} in full, from ``oseen_tensor`` and not from the fill."""
+    x, w, n = dbody.nodes, dbody.weights, dbody.n_nodes
+    blocks = np.sqrt(w[:, None, None, None] * w[None, :, None, None]) * oseen_tensor(
+        x[:, None, :] - x[None, :, :], kernel
+    )
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
 def split_blocks(dbody, kernel):
     """The blocks formed from the full matrix by the explicit change of basis."""
-    full = symmetrized_matrix(dbody, kernel)
+    full = oseen_matrix(dbody, kernel)
     return [basis.T @ full @ basis for basis in orbit_bases(dbody)]
 
 
@@ -97,14 +117,10 @@ class TestAssemble:
     def test_single_node_matrix(self):
         dbody = single_node_body()
         km = assemble(dbody, HyperKernel(ell=1.0))
-        mt = symmetrized_matrix(dbody, HyperKernel(ell=1.0))
+        mt = filled_lower(dbody, HyperKernel(ell=1.0))
         assert np.allclose(mt, np.eye(3) / (6.0 * pi), rtol=1e-14)
         assert km.positive_definite
         assert km.condition >= 1.0
-
-    def test_matrix_exactly_symmetric(self, kernel):
-        mt = symmetrized_matrix(discretize(tripod_tetrahedron(1.0), 8), kernel)
-        assert np.array_equal(mt, mt.T)
 
     def test_distant_pair_block_matches_classical_oseen(self, kernel):
         # two single-node stubs 1e4 * ell apart
@@ -115,9 +131,9 @@ class TestAssemble:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # intentionally disconnected
             dbody = discretize(body, 1.0)
-        mt = symmetrized_matrix(dbody, kernel)
+        mt = filled_lower(dbody, kernel)
         w = dbody.weights[0]
-        block = mt[0:3, 3:6] / w  # sqrt(w1) sqrt(w2) = w here
+        block = mt[3:6, 0:3] / w  # sqrt(w1) sqrt(w2) = w here
         separation = dbody.nodes[1] - dbody.nodes[0]
         assert np.allclose(block, classical_oseen(separation), rtol=1e-7)
         assert np.linalg.norm(block, 2) == pytest.approx(
@@ -130,15 +146,11 @@ class TestAssemble:
     ])
     def test_fill_matches_oseen_blocks(self, bodies, kernel, name, resolution):
         dbody = discretize(bodies[name], resolution)
-        x, w, n = dbody.nodes, dbody.weights, dbody.n_nodes
-        mt = symmetrized_matrix(dbody, kernel)
-        ref = np.sqrt(w[:, None, None, None] * w[None, :, None, None]) * oseen_tensor(
-            x[:, None, :] - x[None, :, :], kernel
-        )
-        ref = ref.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-        assert np.abs(mt - ref).max() <= 1e-15 * np.abs(ref).max()
-        assert np.array_equal(mt, mt.T)
+        ref = oseen_matrix(dbody, kernel)
+        mt = filled_lower(dbody, kernel)
+        assert np.abs(mt - np.tril(ref)).max() <= 1e-15 * np.abs(ref).max()
         if resolution == 128:
+            x = dbody.nodes
             spacing = np.linalg.norm(x[1:] - x[:-1], axis=1).min()
             assert spacing < kernel.series_threshold * kernel.ell
 
@@ -180,8 +192,6 @@ class TestAssemble:
             dbody = discretize(bodies[name], 8)
             with pytest.raises(AssemblyError, match="non-finite"):
                 assemble(dbody, kernel)
-            with pytest.raises(AssemblyError, match="non-finite"):
-                symmetrized_matrix(dbody, kernel)
 
     def test_matrix_larger_than_memory_rejected(self, kernel, monkeypatch, dense_path):
         import hyperstokes.errors as err
@@ -270,10 +280,11 @@ class TestAssemble:
         import hyperstokes.mobility as mob
 
         dbody = discretize(bodies[name], resolution)
-        assert len(mob._column_blocks(dbody.n_nodes)) == blocks
+        assert len(mob._column_blocks(dbody.n_nodes, 0)) == blocks
         km = assemble(dbody, kernel)
-        # the same LAPACK build as assemble's: another one may round differently
-        ref = _lapack.cho_factor(symmetrized_matrix(dbody, kernel))
+        # the same LAPACK build as assemble's: another one may round differently;
+        # potrf reads only the lower triangle, the one the fill writes
+        ref = _lapack.cho_factor(filled_lower(dbody, kernel))
         (factor, lower), = km._factor
         assert lower and np.array_equal(np.tril(factor), np.tril(ref))
 
@@ -294,7 +305,7 @@ class TestAssemble:
     def test_condition_uses_norm_of_full_matrix(self, bodies, kernel, dense_path, name):
         dbody = discretize(bodies[name], 128)
         km = assemble(dbody, kernel)
-        full = symmetrized_matrix(dbody, kernel)
+        full = oseen_matrix(dbody, kernel)
         lange, pocon = get_lapack_funcs(("lange", "pocon"), (full,))
         (factor, lower), = km._factor
         rcond, _ = pocon(factor, lange("1", full), uplo="L" if lower else "U")
@@ -313,7 +324,7 @@ class TestAssemble:
                          for (factor, lower), norm in zip(km._factor, norms)]
         assert km.condition == pytest.approx(max(norms) * max(inverse_norms), rel=1e-12)
         # the same estimate as the unsplit system's, up to the change of basis
-        full = symmetrized_matrix(dbody, kernel)
+        full = oseen_matrix(dbody, kernel)
         lange, pocon = get_lapack_funcs(("lange", "pocon"), (full,))
         rcond, _ = pocon(np.linalg.cholesky(full), lange("1", full), uplo="L")
         assert 0.5 < km.condition * rcond < 2.0
@@ -890,7 +901,7 @@ class TestFixedNodes:
         bases = orbit_bases(dbody)
         together = np.hstack(bases)
         assert np.abs(together.T @ together - np.eye(3 * dbody.n_nodes)).max() < 1e-14
-        full = symmetrized_matrix(dbody, kernel)
+        full = oseen_matrix(dbody, kernel)
         scale = np.abs(full).max()
         assert np.abs(bases[0].T @ full @ bases[1]).max() <= 1e-13 * scale  # no coupling
         mt = nan_matrix(*orders)
