@@ -9,26 +9,26 @@ interact with the flow at all.  All quantities are nondimensional.
 Every evaluator accepts a single 3-vector or an array of shape (..., 3)
 and broadcasts over the leading axes.
 
-The two scalar coefficient functions of the Oseen tensor ("brackets"),
+Every screened value, and every entry of the solver's matrix, takes one
+path from a separation x: s = |x| / ell (:func:`scaled_norm`,
+:func:`_over_ell`); f(s)/s for f = 1 - e^{-s} (the Green's function) or
+for the two "brackets" of the Oseen tensor,
 
     identity factor  D(s) = 1 - 2 e^{-s} - (2/s) e^{-s} + (2/s^2)(1 - e^{-s})
     dyadic factor    Y(s) = 1 + 2 e^{-s} + (6/s) e^{-s} - (6/s^2)(1 - e^{-s})
 
-with s = |x| / ell, suffer catastrophic cancellation as s -> 0 (the 2/s^2
-terms cancel down to O(s)).  Below ``series_threshold`` they are therefore
-evaluated by their Taylor series, which also supplies the continuous
-extension at s = 0:
-
-    Z(0) = I / (6 pi ell)
-
-i.e. a point force experiences exactly the Stokes drag of a sphere of
-radius ell.
+by one branch rule (:func:`_by_branch`); and one last division by 4 pi or
+8 pi times ell (:func:`_over_pi_length`).  The 2/s^2 terms cancel down to
+O(s) as s -> 0, so below ``series_threshold`` f(s)/s is its Taylor series,
+which also gives the continuous extension Z(0) = I / (6 pi ell): a point
+force experiences exactly the Stokes drag of a sphere of radius ell.
+Where s leaves the float range, f = 1 and the division is by |x| instead
+of ell: the classical limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, pi
 from typing import ClassVar
 
@@ -114,32 +114,18 @@ def scaled_norm(x, axis=None) -> np.ndarray:
     return r[()]
 
 
-@lru_cache(maxsize=None)
-def _series_coeffs(terms: int):
-    """Taylor coefficients of D(s)/s, Y(s)/s and (1 - e^{-s})/s.
-
-    D(s)/s = sum_{m>=1} d_m s^{m-1},  d_m = 2 (-1)^{m+1} (1/m! - 1/(m+1)! + 1/(m+2)!)
-    Y(s)/s = sum_{m>=1} y_m s^{m-1},  y_m = 2 (-1)^m   (1/m! - 3/(m+1)! + 3/(m+2)!)
-    (1-e^{-s})/s = sum_{m>=0} (-1)^m s^m / (m+1)!
-
-    Leading orders D ~ (4/3) s and Y ~ s^2/4 give Z(0) = I/(6 pi ell).
-    """
-    d = np.array(
-        [
-            2.0 * (-1.0) ** (m + 1)
-            * (1.0 / factorial(m) - 1.0 / factorial(m + 1) + 1.0 / factorial(m + 2))
-            for m in range(1, terms + 1)
-        ]
-    )
-    y = np.array(
-        [
-            2.0 * (-1.0) ** m
-            * (1.0 / factorial(m) - 3.0 / factorial(m + 1) + 3.0 / factorial(m + 2))
-            for m in range(1, terms + 1)
-        ]
-    )
-    e = np.array([(-1.0) ** m / factorial(m + 1) for m in range(terms + 1)])
-    return d, y, e
+# Taylor coefficients, lowest order first, of
+#   D(s)/s = sum_{m>=1} d_m s^{m-1},  d_m = 2 (-1)^{m+1} (1/m! - 1/(m+1)! + 1/(m+2)!)
+#   Y(s)/s = sum_{m>=1} y_m s^{m-1},  y_m = 2 (-1)^m   (1/m! - 3/(m+1)! + 3/(m+2)!)
+#   (1-e^{-s})/s = sum_{m>=0} (-1)^m s^m / (m+1)!
+# Leading orders D ~ (4/3) s and Y ~ s^2/4 give Z(0) = I/(6 pi ell).
+_D_SERIES = np.array([2.0 * (-1.0) ** (m + 1)
+                      * (1.0 / factorial(m) - 1.0 / factorial(m + 1) + 1.0 / factorial(m + 2))
+                      for m in range(1, HyperKernel.series_terms + 1)])
+_Y_SERIES = np.array([2.0 * (-1.0) ** m
+                      * (1.0 / factorial(m) - 3.0 / factorial(m + 1) + 3.0 / factorial(m + 2))
+                      for m in range(1, HyperKernel.series_terms + 1)])
+_G_SERIES = np.array([(-1.0) ** m / factorial(m + 1) for m in range(HyperKernel.series_terms + 1)])
 
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -180,28 +166,35 @@ def _factors_closed(s: np.ndarray):
     return ident, dyad
 
 
-def _factors_over_s_series(s: np.ndarray, terms: int):
-    """(D(s)/s, Y(s)/s) by Taylor series; exact limit at s = 0."""
-    d, y, _ = _series_coeffs(terms)
-    return _horner(d, s), _horner(y, s)
-
-
-def _factors_over_s(s: np.ndarray, kernel: HyperKernel):
-    """(D(s)/s, Y(s)/s) with automatic branch selection.
-
-    The closed form runs in place on the whole array; the entries below
-    `series_threshold` (s = 0 among them) are then overwritten by the series.
-    """
+def _by_branch(s, kernel: HyperKernel, closed, *series) -> tuple:
+    """f(s)/s for each fresh array f(s) that ``closed`` returns on a 1-d array
+    of s; the entries below ``series_threshold`` (s = 0 among them) are
+    written over by the Taylor series of f(s)/s, one coefficient array each."""
     s = np.asarray(s, dtype=float)
     flat = s.reshape(-1)  # at least 1-d, so that the in-place steps get arrays
     with np.errstate(all="ignore"):  # 1/s at s = 0, overwritten below
-        dr, yr = _factors_closed(flat)
-        dr /= flat
-        yr /= flat
+        values = closed(flat)
+        for value in values:
+            value /= flat
     small = flat < kernel.series_threshold
     if small.any():
-        dr[small], yr[small] = _factors_over_s_series(flat[small], kernel.series_terms)
-    return dr.reshape(s.shape), yr.reshape(s.shape)
+        near = flat[small]
+        for value, coeffs in zip(values, series):
+            value[small] = _horner(coeffs, near)
+    return tuple(value.reshape(s.shape) for value in values)
+
+
+def _factors_over_s(s: np.ndarray, kernel: HyperKernel):
+    """(D(s)/s, Y(s)/s) by :func:`_by_branch`; exact limit at s = 0."""
+    return _by_branch(s, kernel, _factors_closed, _D_SERIES, _Y_SERIES)
+
+
+def _over_pi_length(value, c: float, length):
+    """value / (c length) for c = 4 pi or 8 pi, the last step of every kernel;
+    a result out of the float range is its IEEE limit, 0 or inf, without a
+    numpy warning."""
+    with np.errstate(over="ignore"):
+        return value / (c * length)
 
 
 def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
@@ -211,47 +204,36 @@ def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
     (the Laplace fundamental solution) as ell -> 0 at fixed |x|.  Where s =
     |x|/ell leaves the float range, g is that limit, :func:`green_classical`.
     """
-    x = _as_points(x)
-    r = scaled_norm(x, axis=-1)
+    r = scaled_norm(_as_points(x), axis=-1)
     s = _over_ell(r, kernel)
-    small = s < kernel.series_threshold
-    out = np.empty_like(s)
-    if np.any(~small):
-        sl = s[~small]
-        out[~small] = -np.expm1(-sl) / sl
-    if np.any(small):
-        _, _, e = _series_coeffs(kernel.series_terms)
-        out[small] = _horner(e, s[small])
+    (out,) = _by_branch(s, kernel, lambda t: (-np.expm1(-t),), _G_SERIES)
     far = np.isinf(s)  # there g = (1 - e^{-s}) / (4 pi r), with 1 - e^{-s} = 1
     out[far] = 1.0
-    with np.errstate(over="ignore"):  # 0 near the end of the float range: the limit
-        return out / (4.0 * pi * np.where(far, r, kernel.ell))
+    return _over_pi_length(out, 4.0 * pi, np.where(far, r, kernel.ell))
 
 
 def green_classical(x) -> np.ndarray:
     """Fundamental solution 1/(4 pi |x|) of the Laplace operator; singular at 0."""
-    x = _as_points(x)
-    r = scaled_norm(x, axis=-1)
+    r = scaled_norm(_as_points(x), axis=-1)
     if np.any(r == 0.0):
         raise SingularPointError("classical Green's function is singular at x = 0")
-    with np.errstate(over="ignore"):  # 0 or inf near the ends of the float range: the limits
-        return 1.0 / (4.0 * pi * r)
+    return _over_pi_length(1.0, 4.0 * pi, r)
 
 
 def _brackets(x: np.ndarray, kernel: HyperKernel):
-    """(D(s)/s, Y(s)/s, xhat, 8 pi ell) at the points x; xhat = 0 at x = 0.
+    """(D(s)/s, Y(s)/s, xhat, length) at the points x, the kernels being
+    [D/s I + Y/s xhat xhat^T] / (8 pi length); xhat = 0 at x = 0.
 
-    Where s leaves the float range, both brackets are D = Y = 1 and the last
-    entry is 8 pi r, which gives the classical limit (I + xhat xhat^T) / (8 pi r).
+    The length is ell, except where s leaves the float range: there both
+    brackets are D = Y = 1 and the length is r, which gives the classical
+    limit (I + xhat xhat^T) / (8 pi r).
     """
     r = scaled_norm(x, axis=-1)
     s = _over_ell(r, kernel)
     dr, yr = _factors_over_s(s, kernel)
     far = np.isinf(s)
     dr[far] = yr[far] = 1.0
-    with np.errstate(over="ignore"):  # inf near the end of the float range: a kernel of 0
-        scale = 8.0 * pi * np.where(far, r, kernel.ell)
-    return dr, yr, x / np.where(r > 0.0, r, 1.0)[..., None], scale
+    return dr, yr, x / np.where(r > 0.0, r, 1.0)[..., None], np.where(far, r, kernel.ell)
 
 
 def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
@@ -262,18 +244,19 @@ def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
     Symmetric and even in x; Z(0) = I/(6 pi ell) by continuity, and Z is
     :func:`classical_oseen` where s leaves the float range.
     """
-    dr, yr, xhat, scale = _brackets(_as_points(x), kernel)
+    dr, yr, xhat, length = _brackets(_as_points(x), kernel)
     outer = xhat[..., :, None] * xhat[..., None, :]
-    return (dr[..., None, None] * np.eye(3) + yr[..., None, None] * outer) / scale[..., None, None]
+    return _over_pi_length(dr[..., None, None] * np.eye(3) + yr[..., None, None] * outer,
+                           8.0 * pi, length[..., None, None])
 
 
 def stokeslet_velocity(x, h, kernel: HyperKernel) -> np.ndarray:
     """Velocity zeta(x) = Z(x) h induced by a point force h at the origin, as
     [D(s)/s * h + Y(s)/s * xhat (xhat . h)] / (8 pi ell) without forming Z."""
     h = _as_points(h)
-    dr, yr, xhat, scale = _brackets(_as_points(x), kernel)
+    dr, yr, xhat, length = _brackets(_as_points(x), kernel)
     along = yr * (xhat * h).sum(axis=-1)
-    return (dr[..., None] * h + along[..., None] * xhat) / scale[..., None]
+    return _over_pi_length(dr[..., None] * h + along[..., None] * xhat, 8.0 * pi, length[..., None])
 
 
 def stokeslet_pressure(x, h) -> np.ndarray:
@@ -310,5 +293,4 @@ def classical_oseen(x) -> np.ndarray:
         raise SingularPointError("classical Oseen tensor is singular at x = 0")
     xhat = x / r[..., None]
     outer = xhat[..., :, None] * xhat[..., None, :]
-    with np.errstate(over="ignore"):  # 0 or inf near the ends of the float range: the limits
-        return (np.eye(3) + outer) / (8.0 * pi * r[..., None, None])
+    return _over_pi_length(np.eye(3) + outer, 8.0 * pi, r[..., None, None])

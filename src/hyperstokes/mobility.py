@@ -55,7 +55,8 @@ import numpy as np
 from ._lapack import cho_factor, cho_solve, lansy, pocon, single_threaded
 from .errors import AssemblyError, InvalidArgument, SingularSystemError, _check_memory
 from .geometry import DiscretizedBody, Involution
-from .kernel import HyperKernel, _as_points, _factors_over_s, stokeslet_velocity
+from .kernel import (HyperKernel, _as_points, _factors_over_s, _over_ell, _over_pi_length,
+                     stokeslet_velocity)
 from .kernel import oseen_tensor  # unused here; perfbench/tracing.py patches this name
 
 __all__ = [
@@ -295,7 +296,7 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
     # element (r, c), r >= c, of block t is lowers[t][r, c]
     lowers = [view if lower else view.T for view, lower in _triangles(mt, orbits.orders)]
     signs = [orbits.sign(t)[:, 0] for t in range(len(lowers))]
-    half_scale = 0.5 / (8.0 * pi * kernel.ell)
+    half_scale = _over_pi_length(0.5, 8.0 * pi, kernel.ell)
 
     def pair_factors(d, lo, hi):
         """Distances of the pairs with separations d (components first) and
@@ -304,7 +305,7 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
         r2 += d[1] * d[1]
         r2 += d[2] * d[2]
         r = np.sqrt(r2)
-        a, b = _factors_over_s(r / kernel.ell, kernel)
+        a, b = _factors_over_s(_over_ell(r, kernel), kernel)
         c = np.sqrt(omega[None, lo:hi] * omega[lo:, None]) * half_scale
         a *= c
         b *= c

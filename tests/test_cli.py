@@ -486,14 +486,23 @@ class TestKernelCommand:
                                                                   rel=1e-15)
         assert np.array_equal(data["Z"], classical_oseen(np.array([1e10, 0.0, 0.0])))
 
-    @pytest.mark.parametrize("x", ["1e308", "1e-320", "1e-200"])
-    def test_eval_out_of_range_without_warnings(self, runner, x):
-        # s and the classical kernels overflow to their limits, 0 or inf
-        result = runner.invoke(main, ["kernel", "eval", "--x", x, "0", "0", "--h", "1", "0", "0"])
+    @pytest.mark.parametrize("x, ell", [
+        pytest.param("1e308", "0.1", id="1e308"),
+        pytest.param("1e-320", "0.1", id="1e-320"),
+        pytest.param("1e-200", "0.1", id="1e-200"),
+        pytest.param("0", "1e-320", id="origin-ell-1e-320"),
+    ])
+    def test_eval_out_of_range_without_warnings(self, runner, x, ell):
+        # s, the classical kernels and, at a tiny ell, g(0) = 1 / (4 pi ell) and
+        # Z(0) = I / (6 pi ell) overflow to their limits, 0 or inf
+        result = runner.invoke(main, ["kernel", "eval", "--ell", ell, "--x", x, "0", "0",
+                                      "--h", "1", "0", "0"])
         assert result.exit_code == 0
         assert result.stderr == ""
         data = json.loads(result.stdout)["result"]
-        assert data["pressure"] == (0.0 if x == "1e308" else "inf")
+        assert data["pressure"] == {"1e308": 0.0, "0": None}.get(x, "inf")
+        if x == "0":
+            assert data["g"] == "inf" and data["Z"][0] == ["inf", 0, 0]
 
 
 class TestTrajectoryCommands:

@@ -19,11 +19,12 @@ from hyperstokes import (
     stokeslet_velocity,
 )
 from hyperstokes.kernel import (
+    _D_SERIES,
+    _G_SERIES,
+    _Y_SERIES,
     _factors_closed,
     _factors_over_s,
-    _factors_over_s_series,
     _horner,
-    _series_coeffs,
     scaled_norm,
 )
 
@@ -280,15 +281,16 @@ class TestBranchesAndFactors:
     def test_branch_continuity(self, threshold):
         s = np.array([threshold])
         ident_c, dyad_c = _factors_closed(s)
-        dr, yr = _factors_over_s_series(s, 24)
+        dr, yr = _horner(_D_SERIES, s), _horner(_Y_SERIES, s)
         assert ident_c[0] == pytest.approx(dr[0] * s[0], rel=1e-12)
         assert dyad_c[0] == pytest.approx(yr[0] * s[0], rel=1e-12)
 
     def test_branch_agreement_at_cutoff(self):
         # the bounds the HyperKernel docstring states for s within 2e-12 of the cutoff
+        assert len(_D_SERIES) == len(_Y_SERIES) == len(_G_SERIES) - 1 == HyperKernel.series_terms
         s = HyperKernel.series_threshold + np.linspace(-2e-12, 2e-12, 4001)
         ident_c, dyad_c = _factors_closed(s)
-        dr, yr = _factors_over_s_series(s, HyperKernel.series_terms)
+        dr, yr = _horner(_D_SERIES, s), _horner(_Y_SERIES, s)
         assert np.abs(ident_c / s - dr).max() <= 2e-13 * np.abs(dr).min()
         assert np.abs(dyad_c / s - yr).max() <= 2e-11 * np.abs(yr).min()
 
@@ -313,17 +315,16 @@ class TestBranchesAndFactors:
         inv = 1.0 / sl
         dr[~small] = (1.0 - 2.0 * e - 2.0 * inv * e + 2.0 * inv * inv * one_minus_e) / sl
         yr[~small] = (1.0 + 2.0 * e + 6.0 * inv * e - 6.0 * inv * inv * one_minus_e) / sl
-        dr[small], yr[small] = _factors_over_s_series(s[small], k.series_terms)
+        dr[small], yr[small] = _horner(_D_SERIES, s[small]), _horner(_Y_SERIES, s[small])
         got_dr, got_yr = _factors_over_s(s, k)
         assert got_dr.shape == got_yr.shape == s.shape
         assert np.array_equal(got_dr, dr) and np.array_equal(got_yr, yr)
 
     def test_green_branch_continuity(self):
         # the two branches of green_scalar, (1 - e^{-s})/s closed and by series
-        _, _, coeffs = _series_coeffs(HyperKernel.series_terms)
         for thr in (0.05, 0.1, 0.5):
             s = np.array([thr])
-            assert _horner(coeffs, s)[0] == pytest.approx(-np.expm1(-thr) / thr, rel=1e-12)
+            assert _horner(_G_SERIES, s)[0] == pytest.approx(-np.expm1(-thr) / thr, rel=1e-12)
 
     def test_factor_limits(self):
         # D(s) and Y(s), the coefficients of delta_ij / (8 pi |x|) and
