@@ -113,7 +113,7 @@ def integrate_orientation(
     """
     check_time_grid(dt, t_end)
     g = np.asarray(G0, dtype=float)
-    if g.shape != (3,) or abs(np.linalg.norm(g) - 1.0) > 1e-8:
+    if g.shape != (3,) or not abs(np.linalg.norm(g) - 1.0) <= 1e-8:  # NaN fails it too
         raise InvalidArgument("G0 must be a unit 3-vector")
     g = g / np.linalg.norm(g)
     l_xi, l_omega = motion_operator(inp)

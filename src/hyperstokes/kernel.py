@@ -190,11 +190,19 @@ def _factors_over_s(s: np.ndarray, kernel: HyperKernel):
 
 
 def _over_pi_length(value, c: float, length):
-    """value / (c length) for c = 4 pi or 8 pi, the last step of every kernel;
-    a result out of the float range is its IEEE limit, 0 or inf, without a
-    numpy warning."""
+    """value / (c length) for c = 4 pi or 8 pi, the last step of every kernel.
+
+    A result out of the float range is its IEEE limit, 0 or inf, without a
+    numpy warning.  Where c length overflows (length above about 1.4e307),
+    value / length / c keeps the digits of a subnormal result.
+    """
     with np.errstate(over="ignore"):
-        return value / (c * length)
+        scale = c * length
+        out = value / scale
+        far = np.isinf(scale)
+        if np.any(far):
+            out = np.where(far, value / length / c, out)[()]
+    return out
 
 
 def green_scalar(x, kernel: HyperKernel) -> np.ndarray:
@@ -252,11 +260,26 @@ def oseen_tensor(x, kernel: HyperKernel) -> np.ndarray:
 
 def stokeslet_velocity(x, h, kernel: HyperKernel) -> np.ndarray:
     """Velocity zeta(x) = Z(x) h induced by a point force h at the origin, as
-    [D(s)/s * h + Y(s)/s * xhat (xhat . h)] / (8 pi ell) without forming Z."""
+    [D(s)/s * h + Y(s)/s * xhat (xhat . h)] / (8 pi ell) without forming Z.
+
+    An entry whose numerator overflows is redone as 4 Z(x) (h / 4): |D/s|
+    <= 4/3 and |Y/s| <= 1 keep every step of Z (h / 4) in the float range.
+    """
     h = _as_points(h)
     dr, yr, xhat, length = _brackets(_as_points(x), kernel)
-    along = yr * (xhat * h).sum(axis=-1)
-    return _over_pi_length(dr[..., None] * h + along[..., None] * xhat, 8.0 * pi, length[..., None])
+
+    def velocity(h):
+        along = yr * (xhat * h).sum(axis=-1)
+        return _over_pi_length(dr[..., None] * h + along[..., None] * xhat,
+                               8.0 * pi, length[..., None])
+
+    with np.errstate(all="ignore"):  # a non-finite entry is redone below
+        u = velocity(h)
+    redo = ~np.isfinite(u)
+    if redo.any():
+        with np.errstate(over="ignore"):  # inf where Z h leaves the float range: the limit
+            u[redo] = np.ldexp(velocity(np.ldexp(h, -2))[redo], 2)
+    return u
 
 
 def stokeslet_pressure(x, h) -> np.ndarray:

@@ -238,6 +238,16 @@ def _empty_matrix(a: int, b: int) -> np.ndarray:
     return np.empty((a, cols), order="F")
 
 
+def _half_scale(kernel: HyperKernel) -> float:
+    """0.5 / (8 pi ell), the scale of the fill's pairs; AssemblyError where it
+    overflows, for ell below about 1.1e-310."""
+    scale = _over_pi_length(0.5, 8.0 * pi, kernel.ell)
+    if scale == np.inf:
+        raise AssemblyError(f"ell {kernel.ell:g} is too small for the kernel matrix: "
+                            "0.5 / (8 pi ell) overflows")
+    return scale
+
+
 def _triangles(mt: np.ndarray, orders: tuple[int, int]) -> list[tuple[np.ndarray, bool]]:
     """The ``(matrix, lower)`` views of the non-empty blocks stored in ``mt`` by :func:`_empty_matrix`.
 
@@ -296,7 +306,7 @@ def _fill_lower(mt: np.ndarray, dbody: DiscretizedBody, kernel: HyperKernel,
     # element (r, c), r >= c, of block t is lowers[t][r, c]
     lowers = [view if lower else view.T for view, lower in _triangles(mt, orbits.orders)]
     signs = [orbits.sign(t)[:, 0] for t in range(len(lowers))]
-    half_scale = _over_pi_length(0.5, 8.0 * pi, kernel.ell)
+    half_scale = _half_scale(kernel)
 
     def pair_factors(d, lo, hi):
         """Distances of the pairs with separations d (components first) and
@@ -505,13 +515,15 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
     Mt's 208.83 for the octahedron frame at ell 0.01 and resolution 64,
     904.75 against 836.36 at ell 0.1 and resolution 16.
 
-    Raises AssemblyError for (near-)coincident nodes, a non-finite entry or
-    a matrix larger than physical or available memory, and
+    Raises AssemblyError for (near-)coincident nodes, a non-finite entry,
+    an ell whose fill scale overflows (:func:`_half_scale`) or a matrix
+    larger than physical or available memory, and
     SingularSystemError if a Cholesky factorization fails (for the first
     failed block, once every block's factorization has ended, and only if
     no block is non-finite).
     """
     orbits = _Orbits.of(dbody.involution or Involution.identity(dbody.n_nodes))
+    _half_scale(kernel)  # refuses a tiny ell before the matrix is allocated
     mt = _empty_matrix(*orbits.orders)
     _fill_lower(mt, dbody, kernel, orbits)
     factors = _triangles(mt, orbits.orders)

@@ -159,6 +159,9 @@ class TestIntegrateOrientation:
         inp = spinny_input()
         with pytest.raises(InvalidArgument):
             integrate_orientation(inp, np.array([2.0, 0.0, 0.0]), 1e-2, 1.0)
+        for bad in (np.nan, np.inf):  # not a trajectory of NaNs
+            with pytest.raises(InvalidArgument, match="unit 3-vector"):
+                integrate_orientation(inp, np.array([bad, 0.0, 0.0]), 0.1, 1.0)
         with pytest.raises(InvalidArgument):
             integrate_orientation(inp, np.array([1.0, 0.0, 0.0]), -1e-2, 1.0)
         with pytest.raises(InvalidArgument):

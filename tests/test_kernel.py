@@ -239,12 +239,34 @@ class TestResultsOutOfRange:
     K = HyperKernel(ell=0.1)
     E1 = np.array([1.0, 0.0, 0.0])
 
-    def test_far_point_gives_zero(self):
-        x = 1e308 * self.E1  # s = |x| / ell overflows, and so does 4 pi |x|
-        for value in (green_scalar(x, self.K), green_classical(x), oseen_tensor(x, self.K),
-                      classical_oseen(x), stokeslet_velocity(x, self.E1, self.K),
-                      stokeslet_pressure(x, self.E1)):
-            assert np.array_equal(value, np.zeros_like(value))
+    def test_far_point_gives_subnormal_values(self):
+        # s = |x| / ell overflows, and so do 4 pi |x| and 8 pi |x|: the kernels
+        # divide by |x| first, and their subnormal values are kept
+        x = 1e308 * self.E1
+        g = 1.0 / 1e308 / FOUR_PI
+        z = np.diag([2.0, 1.0, 1.0]) / 1e308 / (2.0 * FOUR_PI)
+        assert g == pytest.approx(1.0 / (FOUR_PI * 1e154) / 1e154, rel=1e-13)
+        assert green_scalar(x, self.K) == green_classical(x) == g
+        assert np.array_equal(oseen_tensor(x, self.K), z)
+        assert np.array_equal(classical_oseen(x), z)
+        assert np.array_equal(stokeslet_velocity(x, self.E1, self.K), z[0])
+        assert stokeslet_pressure(x, self.E1) == 0.0  # (h . x) / (4 pi |x|^3) underflows
+
+    @pytest.mark.parametrize("ell, x, h", [
+        (0.1, [0.05, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]),
+        (1e-300, [1e10, 0.0, 0.0], [1e308, 0.0, 0.0]),
+        (0.1, [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]),
+    ])
+    def test_velocity_with_overflowing_numerator(self, ell, x, h):
+        # D/s h + Y/s xhat (xhat . h) overflows, though Z h does not
+        k, x, h = HyperKernel(ell=ell), np.array(x), np.array(h)
+        zeta = stokeslet_velocity(x, h, k)
+        assert np.all(np.isfinite(zeta))
+        assert zeta == pytest.approx(oseen_tensor(x, k) @ h, rel=1e-12)
+        # only the overflowed entries are redone: an ordinary point keeps its bits
+        near = np.array([0.3, 0.2, 0.1])
+        both = stokeslet_velocity(np.array([x, near]), np.array([h, self.E1]), k)
+        assert np.array_equal(both, [zeta, stokeslet_velocity(near, self.E1, k)])
 
     @pytest.mark.parametrize("ell, r", [(1e-300, 1e10), (1e-10, 1e299), (0.1, 1e308)])
     def test_overflowed_s_gives_classical_limits(self, ell, r):

@@ -193,6 +193,23 @@ class TestAssemble:
             with pytest.raises(AssemblyError, match="non-finite"):
                 assemble(dbody, kernel)
 
+    def test_tiny_ell_rejected_before_allocation(self, bodies, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        def no_matrix(a, b):
+            raise AssertionError("allocated")
+
+        # below ell ~ 1.1e-310 the fill's scale 0.5 / (8 pi ell) overflows
+        monkeypatch.setattr(mob, "_empty_matrix", no_matrix)
+        with pytest.raises(AssemblyError, match="ell 1e-310 is too small"):
+            assemble(discretize(bodies["tripod"], 8), HyperKernel(ell=1e-310))
+
+    def test_tiny_ell_solves_without_warning(self, bodies):
+        # at ell 1e-309, s = r / ell overflows off the diagonal; it is inf, silently
+        dbody = discretize(bodies["tripod"], 8)
+        res = resistance(dbody, HyperKernel(ell=1e-309))
+        assert np.all(np.isfinite(res.A)) and res.min_eigenvalue > 0.0
+
     def test_matrix_larger_than_memory_rejected(self, kernel, monkeypatch, dense_path):
         import hyperstokes.errors as err
 
