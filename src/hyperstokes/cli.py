@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__, geometry
-from .errors import HyperstokesError, InvalidArgument, SingularSystemError
+from .errors import HyperstokesError, InvalidArgument, SingularSystemError, _require_positive
 from .kernel import (
     HyperKernel,
     _over_ell,
@@ -63,10 +63,7 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.ell) and self.ell > 0):
-            raise InvalidArgument(f"ell must be positive, got {self.ell}")
-        if not (np.isfinite(self.resolution) and self.resolution > 0):
-            raise InvalidArgument(f"resolution must be positive, got {self.resolution}")
+        _require_positive(ell=self.ell, resolution=self.resolution)
         # written as "not > 0" so that NaN is rejected too; inf stays allowed
         if self.tol_trans is not None and not self.tol_trans > 0:
             raise InvalidArgument("tol-trans must be positive")
@@ -76,35 +73,23 @@ class RunConfig:
             raise InvalidArgument(f"max-condition must be positive, got {self.condition_ceiling}")
 
 
-@dataclass
-class PhysicalParams:
-    """Dimensional fluid/body parameters (SI units)."""
-
-    rho: float   # fluid density, kg/m^3
-    mu: float    # dynamic viscosity, Pa s
-    g_phys: float  # gravitational acceleration, m/s^2
-    d: float     # reference length, m
-    L: float     # effective thickness, m
-
-    def __post_init__(self):
-        for name in ("rho", "mu", "g_phys", "d", "L"):
-            val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
-                raise InvalidArgument(f"{name} must be positive, got {val}")
-
-
-def nondim(p: PhysicalParams):
+def nondim(rho: float, mu: float, g_phys: float, d: float, L: float):
     """Reference speed W = rho g d^2 / mu, Reynolds number Re = rho W d / mu,
     and ell = L / d; returns (W, Re, ell, warnings).
 
-    Raises InvalidArgument, naming the group, where one overflows a float.
+    The arguments are in SI units: fluid density rho (kg/m^3), dynamic
+    viscosity mu (Pa s), gravitational acceleration g_phys (m/s^2),
+    reference length d (m) and effective thickness L (m).  Raises
+    InvalidArgument naming the first that is not positive and finite, or
+    naming the group where one overflows a float.
     """
+    _require_positive(rho=rho, mu=mu, g_phys=g_phys, d=d, L=L)
     try:
-        w = p.rho * p.g_phys * p.d**2 / p.mu
+        w = rho * g_phys * d**2 / mu
     except OverflowError:  # d**2 of a Python float raises instead of giving inf
         w = float("inf")
-    re = p.rho * w * p.d / p.mu
-    ell = p.L / p.d
+    re = rho * w * d / mu
+    ell = L / d
     for name, value in (("W = rho g d^2 / mu", w), ("Re = rho W d / mu", re),
                         ("ell = L / d", ell)):
         if not np.isfinite(value):
@@ -112,8 +97,8 @@ def nondim(p: PhysicalParams):
     notes = []
     if re > 0.1:
         notes.append(f"Re = {re:.6g} is not small; the creeping-flow model may not apply")
-    if p.L > p.d:
-        notes.append(f"L = {p.L:.6g} exceeds the reference length d = {p.d:.6g}")
+    if L > d:
+        notes.append(f"L = {L:.6g} exceeds the reference length d = {d:.6g}")
     return w, re, ell, notes
 
 
@@ -451,8 +436,7 @@ def convergence(file, ell, resolutions, max_condition, force):
               help="Effective thickness, m.")
 def nondim_cmd(rho, mu, gravity, d, thickness):
     """Nondimensional groups W, Re and ell from physical parameters."""
-    params = PhysicalParams(rho=rho, mu=mu, g_phys=gravity, d=d, L=thickness)
-    w, re, ell, notes = nondim(params)
+    w, re, ell, notes = nondim(rho, mu, gravity, d, thickness)
     for note in notes:
         click.echo(f"warning: {note}", err=True)
     click.echo(json_text({

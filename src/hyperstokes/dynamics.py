@@ -25,7 +25,7 @@ from math import floor, pi, sqrt
 
 import numpy as np
 
-from .errors import InvalidArgument, _check_memory
+from .errors import InvalidArgument, _check_memory, _require_positive
 from .freefall import FreefallInput, require_regular, skew
 from .geometry import nearest_neighbors
 
@@ -74,13 +74,11 @@ class OrientationTrajectory:
 
 _SAMPLE_BYTES = 80  # t, G, xi and omega of one stored step
 _LATTICE_POINT_BYTES = 200  # a lattice point, its residual and its 7-neighbour table
-_DRIFT_CHUNK_ROWS = 4096  # rows of G per step of the norm-drift check: its temporaries stay small
 
 
 def check_time_grid(dt: float, t_end: float) -> None:
     """Raise InvalidArgument unless dt and t_end are positive and finite and the samples fit."""
-    if not (np.isfinite(dt) and dt > 0.0) or not (np.isfinite(t_end) and t_end > 0.0):
-        raise InvalidArgument("dt and t_end must be positive")
+    _require_positive(dt=dt, t_end=t_end)
     _check_memory(_SAMPLE_BYTES * (t_end / dt + 1.0),
                   f"a trajectory of {t_end / dt:.3g} steps needs",
                   "raise dt or lower t_end", InvalidArgument)
@@ -92,14 +90,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def _max_norm_drift(gs: np.ndarray) -> float:
-    """max | |G_k| - 1 | over the rows of ``gs``, in fixed row chunks, so the
-    temporaries do not grow with the trajectory; each row's norm is the
-    same bits as over the whole array."""
-    return max(float(np.abs(np.linalg.norm(gs[lo:lo + _DRIFT_CHUNK_ROWS], axis=1) - 1.0).max())
-               for lo in range(0, len(gs), _DRIFT_CHUNK_ROWS))
 
 
 def integrate_orientation(
@@ -143,6 +133,7 @@ def integrate_orientation(
         max_step_drift = max(max_step_drift, abs(norm - 1.0))
         g = g / norm
         gs[k + 1] = g
+    max_norm_drift = float(np.abs(np.linalg.norm(gs, axis=1) - 1.0).max())
     xis = gs @ l_xi.T
     omegas = gs @ l_omega.T
     return OrientationTrajectory(
@@ -150,7 +141,7 @@ def integrate_orientation(
         G=gs,
         xi=xis,
         omega=omegas,
-        max_norm_drift=_max_norm_drift(gs),
+        max_norm_drift=max_norm_drift,
         max_step_drift=float(max_step_drift),
         final_residual=float(np.linalg.norm(np.cross(gs[-1], omegas[-1]))),
     )
@@ -192,7 +183,10 @@ def _polish(g: np.ndarray, l_omega: np.ndarray) -> np.ndarray:
 
 
 def check_grid_resolution(grid_resolution: int) -> None:
-    """Raise InvalidArgument unless the sphere lattice has 12 points or more and fits."""
+    """Raise InvalidArgument unless the sphere lattice has a whole number of
+    points, 12 or more, and fits."""
+    if isinstance(grid_resolution, (bool, np.bool_)) or not float(grid_resolution).is_integer():
+        raise InvalidArgument(f"grid_resolution must be a whole number, got {grid_resolution}")
     if grid_resolution < 12:
         raise InvalidArgument("grid_resolution must be at least 12")
     _check_memory(_LATTICE_POINT_BYTES * grid_resolution,

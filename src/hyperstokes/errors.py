@@ -1,10 +1,13 @@
-"""Exception hierarchy and memory check shared by all hyperstokes modules.
+"""Exception hierarchy and the argument and memory checks shared by all
+hyperstokes modules.
 
 Each class carries the ``slug`` that the command line prints as
 ``error[<slug>]: <message>``.
 """
 
 import os
+
+import numpy as np
 
 _MEMINFO = "/proc/meminfo"
 
@@ -50,6 +53,14 @@ class NoTranslationalOrientation(HyperstokesError):
     translational orientation can be predicted."""
 
     slug = "no-translational-orientation"
+
+
+def _require_positive(**values: float) -> None:
+    """Raise InvalidArgument naming the first of ``values``, in argument
+    order, that is not a positive finite number."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise InvalidArgument(f"{name} must be positive, got {value}")
 
 
 def _physical_memory_bytes() -> int:

@@ -19,7 +19,7 @@ from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .errors import BodyConfigError, InvalidArgument, _check_memory
+from .errors import BodyConfigError, InvalidArgument, _check_memory, _require_positive
 
 __all__ = [
     "Segment",
@@ -451,8 +451,7 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     of mass sits at the origin.  A node count whose arrays would not fit in
     memory is refused with InvalidArgument before anything is allocated.
     """
-    if not (np.isfinite(resolution) and resolution > 0.0):
-        raise InvalidArgument(f"resolution must be positive, got {resolution}")
+    _require_positive(resolution=resolution)
     _warn_if_disconnected(body)
     mass = mass_properties(body)
     edges = list(_edges(body))
@@ -477,12 +476,6 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     w.setflags(write=False)
     rho.setflags(write=False)
     return DiscretizedBody(nodes=x, weights=w, densities=rho, mass=mass)
-
-
-def _require_positive(**dims) -> None:
-    for name, val in dims.items():
-        if not (np.isfinite(val) and val > 0.0):
-            raise InvalidArgument(f"{name} must be positive, got {val}")
 
 
 def rod(length: float) -> BodyGeometry:
@@ -564,7 +557,7 @@ def helix(radius: float, pitch: float, turns: float, samples_per_turn: int = 16)
     _require_positive(radius=radius, pitch=pitch, turns=turns)
     if samples_per_turn < 4:
         raise InvalidArgument("samples_per_turn must be >= 4")
-    n = int(round(samples_per_turn * turns))
+    n = max(1, int(round(samples_per_turn * turns)))  # at least one edge
     t = np.linspace(0.0, 2.0 * pi * turns, n + 1)
     pts = np.stack(
         [

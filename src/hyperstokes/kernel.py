@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidArgument, SingularPointError
+from .errors import InvalidArgument, SingularPointError, _require_positive
 
 __all__ = [
     "HyperKernel",
@@ -73,8 +73,7 @@ class HyperKernel:
     series_terms: ClassVar[int] = 24
 
     def __post_init__(self):
-        if not (np.isfinite(self.ell) and self.ell > 0.0):
-            raise InvalidArgument(f"ell must be positive and finite, got {self.ell}")
+        _require_positive(ell=self.ell)
 
 
 def _over_ell(r, kernel: HyperKernel) -> np.ndarray:

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import hyperstokes
 from hyperstokes import HyperstokesError, bent_rod, classical_oseen, octahedron_frame, rod
-from hyperstokes.cli import PhysicalParams, main, nondim
+from hyperstokes.cli import main, nondim
 from hyperstokes.serialize import body_from_dict, body_to_dict, json_text, load_body
 
 
@@ -221,26 +221,22 @@ def bent_file(tmp_path):
 
 class TestNondim:
     def test_formulas(self):
-        w, re, ell, notes = nondim(
-            PhysicalParams(rho=1000.0, mu=1.0, g_phys=9.81, d=0.01, L=0.001)
-        )
+        w, re, ell, notes = nondim(rho=1000.0, mu=1.0, g_phys=9.81, d=0.01, L=0.001)
         assert w == pytest.approx(0.981, rel=1e-12)
         assert re == pytest.approx(9.81, rel=1e-12)
         assert ell == pytest.approx(0.1, rel=1e-12)
         assert notes  # Re is not small here
 
     def test_small_re_case(self):
-        w, re, ell, notes = nondim(
-            PhysicalParams(rho=1000.0, mu=10.0, g_phys=9.81, d=0.001, L=0.0001)
-        )
+        w, re, ell, notes = nondim(rho=1000.0, mu=10.0, g_phys=9.81, d=0.001, L=0.0001)
         assert w == pytest.approx(9.81e-4, rel=1e-12)
         assert re == pytest.approx(9.81e-5, rel=1e-12)
         assert ell == pytest.approx(0.1, rel=1e-12)
         assert not notes
 
     def test_viscosity_scaling(self):
-        base = nondim(PhysicalParams(rho=500.0, mu=2.0, g_phys=9.81, d=0.01, L=0.002))
-        doubled = nondim(PhysicalParams(rho=500.0, mu=4.0, g_phys=9.81, d=0.01, L=0.002))
+        base = nondim(rho=500.0, mu=2.0, g_phys=9.81, d=0.01, L=0.002)
+        doubled = nondim(rho=500.0, mu=4.0, g_phys=9.81, d=0.01, L=0.002)
         assert doubled[0] == pytest.approx(base[0] / 2.0, rel=1e-14)
         assert doubled[1] == pytest.approx(base[1] / 4.0, rel=1e-14)
 

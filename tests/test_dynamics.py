@@ -93,12 +93,9 @@ class TestIntegrateOrientation:
     def test_norm_drift_check_keeps_80_bytes_a_step(self):
         import tracemalloc
 
-        from hyperstokes import dynamics
-
         inp = spinny_input()
         g0 = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
-        steps = 40_000  # several chunks of the drift check
-        assert steps > 5 * dynamics._DRIFT_CHUNK_ROWS
+        steps = 40_000
         tracemalloc.start()
         try:
             traj = integrate_orientation(inp, g0, 1e-3, steps * 1e-3)
@@ -106,7 +103,8 @@ class TestIntegrateOrientation:
         finally:
             tracemalloc.stop()
         # the 80 bytes a step that dynamics.check_time_grid counts, plus a
-        # constant; the drift over the whole array at once took 120
+        # constant: the drift's temporaries (about 40 bytes a step) are freed
+        # before xi and omega are allocated; after them the peak was 120
         assert peak <= 80 * steps + 300_000, peak / steps
         whole = float(np.abs(np.linalg.norm(traj.G, axis=1) - 1.0).max())
         assert traj.max_norm_drift == whole
@@ -256,6 +254,19 @@ class TestFindFixedPoints:
     def test_grid_validation(self):
         with pytest.raises(InvalidArgument):
             find_fixed_points(spinny_input(), 4)
+
+    @pytest.mark.parametrize("grid", [12.5, np.nan, np.inf, True, np.bool_(True)])
+    def test_lattice_size_must_be_a_whole_number(self, grid):
+        with pytest.raises(InvalidArgument, match="whole number"):
+            find_fixed_points(spinny_input(), grid_resolution=grid)
+
+    def test_whole_lattice_size_of_any_type_is_accepted(self):
+        ref = find_fixed_points(spinny_input(), 500)
+        for grid in (np.int64(500), 500.0):
+            result = find_fixed_points(spinny_input(), grid_resolution=grid)
+            assert len(result.points) == len(ref.points)
+            for (g, r), (g_ref, r_ref) in zip(result.points, ref.points):
+                assert np.array_equal(g, g_ref) and r == r_ref
 
     def test_lattice_larger_than_memory_rejected(self, monkeypatch):
         import hyperstokes.errors as err

@@ -475,6 +475,15 @@ class TestBuilders:
         assert polyline < smooth
         assert polyline == pytest.approx(smooth, rel=0.01)
 
+    @pytest.mark.parametrize("turns", [0.01, 0.03])  # 0.16 and 0.48 of a sample
+    def test_helix_shorter_than_one_sample_has_one_edge(self, turns):
+        pts = helix(0.2, 0.1, turns).segments[0].points
+        t = 2.0 * np.pi * turns
+        assert np.allclose(pts, [[-0.05 * turns, 0.2, 0.0],
+                                 [0.05 * turns, 0.2 * np.cos(t), 0.2 * np.sin(t)]],
+                           rtol=0.0, atol=1e-16)
+        assert discretize(helix(0.2, 0.1, turns), 16).nodes.shape == (1, 3)
+
     @pytest.mark.parametrize(
         "builder,args",
         [

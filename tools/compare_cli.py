@@ -65,6 +65,13 @@ OTHER = [
     ["nondim", "--rho", "1000", "--mu", "1", "--gravity", "9.81", "--d", "0.01", "--L", "0.001"],
     ["body", "info", "{dir}/huge_m_c.json"],
     ["body", "info", "{dir}/missing.json"],
+    # one refused argument for each place that checks one is positive
+    ["nondim", "--rho", "-1", "--mu", "1", "--gravity", "9.81", "--d", "0.01", "--L", "0.001"],
+    ["nondim", "--rho", "1000", "--mu", "1", "--gravity", "9.81", "--d", "0.01", "--L", "nan"],
+    ["resistance", "{dir}/rod.json", "--ell", "-1"],
+    ["resistance", "{dir}/rod.json", "--resolution", "inf"],
+    ["kernel", "eval", "--x", "1", "0", "0", "--ell", "-1"],
+    ["fall-sim", "{dir}/helix.json", "--g0", "0", "0", "1", "--dt", "-1", "--t-end", "1"],
 ]
 
 
