@@ -133,6 +133,8 @@ def integrate_orientation(
         max_step_drift = max(max_step_drift, abs(norm - 1.0))
         g = g / norm
         gs[k + 1] = g
+    # before xi and omega are allocated, so its temporaries (about 40 bytes a
+    # step) stay within the 80 bytes a step that check_time_grid counts
     max_norm_drift = float(np.abs(np.linalg.norm(gs, axis=1) - 1.0).max())
     xis = gs @ l_xi.T
     omegas = gs @ l_omega.T

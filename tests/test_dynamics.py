@@ -104,7 +104,7 @@ class TestIntegrateOrientation:
             tracemalloc.stop()
         # the 80 bytes a step that dynamics.check_time_grid counts, plus a
         # constant: the drift's temporaries (about 40 bytes a step) are freed
-        # before xi and omega are allocated; after them the peak was 120
+        # before xi and omega are allocated, or the peak would be about 120
         assert peak <= 80 * steps + 300_000, peak / steps
         whole = float(np.abs(np.linalg.norm(traj.G, axis=1) - 1.0).max())
         assert traj.max_norm_drift == whole
