@@ -187,11 +187,12 @@ def _polish(g: np.ndarray, l_omega: np.ndarray) -> np.ndarray:
 def check_grid_resolution(grid_resolution: int) -> None:
     """Raise InvalidArgument unless the sphere lattice has a whole number of
     points, 12 or more, and fits."""
-    if isinstance(grid_resolution, (bool, np.bool_)) or not float(grid_resolution).is_integer():
+    if isinstance(grid_resolution, (bool, np.bool_)) or not (  # an int may lie beyond a float
+            isinstance(grid_resolution, (int, np.integer)) or float(grid_resolution).is_integer()):
         raise InvalidArgument(f"grid_resolution must be a whole number, got {grid_resolution}")
     if grid_resolution < 12:
         raise InvalidArgument("grid_resolution must be at least 12")
-    _check_memory(_LATTICE_POINT_BYTES * grid_resolution,
+    _check_memory(_LATTICE_POINT_BYTES * int(grid_resolution),  # a numpy integer would wrap
                   f"a lattice of {grid_resolution} points needs",
                   "lower the lattice size", InvalidArgument)
 

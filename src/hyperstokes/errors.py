@@ -6,6 +6,7 @@ Each class carries the ``slug`` that the command line prints as
 """
 
 import os
+from decimal import Decimal
 
 import numpy as np
 
@@ -57,9 +58,9 @@ class NoTranslationalOrientation(HyperstokesError):
 
 def _require_positive(**values: float) -> None:
     """Raise InvalidArgument naming the first of ``values``, in argument
-    order, that is not a positive finite number."""
+    order, that is not a positive finite number; a boolean is not a number."""
     for name, value in values.items():
-        if not (np.isfinite(value) and value > 0):
+        if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value > 0):
             raise InvalidArgument(f"{name} must be positive, got {value}")
 
 
@@ -85,5 +86,9 @@ def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError
     for what, have in (("physical memory", _physical_memory_bytes()),
                        ("memory available now", _available_memory_bytes())):
         if have is not None and need > have:
-            raise error(f"{what_needs} {need / 2**30:.3g} GiB, more than the "
-                        f"{have / 2**30:.3g} GiB of {what}; {advice}")
+            try:
+                gib = f"{need / 2**30:.3g}"
+            except OverflowError:  # a whole number of bytes whose GiB no float holds
+                gib = f"{Decimal(need) / 2**30:.3g}"
+            raise error(f"{what_needs} {gib} GiB, more than the {have / 2**30:.3g} GiB of {what}; "
+                        f"{advice}")

@@ -47,6 +47,7 @@ _CHUNK_PAIRS = 250_000  # point pairs per step of the diameter, neighbour and to
 _INVOLUTION_RTOL = 1e-12  # node positions match to this fraction of the cloud's radius
 _INVOLUTION_CANDIDATES = 64  # anchor images tried before giving up
 _INVOLUTION_SCREEN = 16  # about this many nodes checked before a candidate gets the full match
+_HELIX_SAMPLES_PER_TURN = 16  # polyline edges per turn of a helix
 # a unit vector normal to no difference of small-integer lattice points
 _SORT_DIRECTION = np.array([0.7548776662466928, 0.5698402909980533, 0.32471795724474606])
 
@@ -122,17 +123,19 @@ class BodyGeometry:
 class MassProperties:
     """Mass, first moments and derived buoyancy data of a body.
 
-    ``r`` is the centroid (uniform-density center) minus the center of mass,
-    expressed in the co-moving frame; it vanishes for uniform densities.
+    The excess mass ``m_e`` = m - m_c and ``r``, the centroid (uniform-density
+    center) minus the center of mass in the co-moving frame, are computed on
+    each read; ``r`` vanishes for uniform densities.
     """
 
     m: float
     m_c: float
-    m_e: float
     center_of_mass: np.ndarray
     centroid: np.ndarray
-    r: np.ndarray
     total_length: float
+
+    m_e = property(lambda self: self.m - self.m_c)
+    r = property(lambda self: self.centroid - self.center_of_mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,15 +374,8 @@ def mass_properties(body: BodyGeometry) -> MassProperties:
         raise BodyConfigError(
             f"complementary mass m_c={body.m_c} exceeds body mass m={m}"
         )
-    return MassProperties(
-        m=m,
-        m_c=body.m_c,
-        m_e=m - body.m_c,
-        center_of_mass=com,
-        centroid=centroid,
-        r=r,
-        total_length=length,
-    )
+    return MassProperties(m=m, m_c=body.m_c, center_of_mass=com, centroid=centroid,
+                          total_length=length)
 
 
 def ensure_orthogonal(Q) -> np.ndarray:
@@ -394,9 +390,14 @@ def ensure_orthogonal(Q) -> np.ndarray:
 
 
 def transform(body: BodyGeometry, Q, t=(0.0, 0.0, 0.0)) -> BodyGeometry:
-    """Rigidly map every point p -> Q p + t; densities and m_c unchanged."""
+    """Rigidly map every point p -> Q p + t; densities and m_c unchanged.
+
+    Raises InvalidArgument unless Q is orthogonal and t a finite 3-vector.
+    """
     Q = ensure_orthogonal(Q)
     t = np.asarray(t, dtype=float)
+    if t.shape != (3,) or not np.all(np.isfinite(t)):
+        raise InvalidArgument(f"translation must be a finite 3-vector, got {t}")
     segs = tuple(
         Segment(points=seg.points @ Q.T + t, density=seg.density)
         for seg in body.segments
@@ -547,17 +548,16 @@ def octahedron_frame(edge: float) -> BodyGeometry:
     return BodyGeometry(name="octahedron_frame", segments=tuple(segs))
 
 
-def helix(radius: float, pitch: float, turns: float, samples_per_turn: int = 16) -> BodyGeometry:
+def helix(radius: float, pitch: float, turns: float) -> BodyGeometry:
     """Circular helix along x1, pre-sampled as a polyline.
 
-    ``pitch`` is the axial advance per full turn.  The polyline resolution
-    (``samples_per_turn``) fixes the shape; :func:`discretize` refines the
+    ``pitch`` is the axial advance per full turn.  The polyline has
+    ``_HELIX_SAMPLES_PER_TURN`` (16) edges per turn, rounded, and at least
+    one edge; it fixes the shape, and :func:`discretize` refines the
     quadrature on top of it.
     """
     _require_positive(radius=radius, pitch=pitch, turns=turns)
-    if samples_per_turn < 4:
-        raise InvalidArgument("samples_per_turn must be >= 4")
-    n = max(1, int(round(samples_per_turn * turns)))  # at least one edge
+    n = max(1, int(round(_HELIX_SAMPLES_PER_TURN * turns)))
     t = np.linspace(0.0, 2.0 * pi * turns, n + 1)
     pts = np.stack(
         [

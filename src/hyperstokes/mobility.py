@@ -93,7 +93,6 @@ class KernelMatrix:
     kernel: HyperKernel
     condition: float
     _factor: tuple
-    _sqrt_w: np.ndarray
     _orbits: _Orbits
 
     @property
@@ -116,7 +115,7 @@ class KernelMatrix:
         Raises InvalidArgument for data of another shape or with a
         non-finite entry.
         """
-        m = len(self._sqrt_w)
+        m = 3 * self.body.n_nodes
         if np.ndim(u) not in (1, 2) or np.shape(u)[0] != m:
             raise InvalidArgument(f"boundary data of shape {np.shape(u)}; "
                                   f"expected ({m},) or ({m}, k)")
@@ -124,7 +123,7 @@ class KernelMatrix:
             raise InvalidArgument("non-finite boundary data")
         orb = self._orbits
         p = orb.pairs
-        sw = self._sqrt_w.reshape(-1, 3, 1)
+        sw = np.sqrt(self.body.weights)[:, None, None]
         g = orb.frame.T @ (sw * np.reshape(u, (m // 3, 3, -1)))
         k = g.shape[2]
         own, mirrored = g[orb.nodes], g[orb.images]
@@ -540,7 +539,6 @@ def assemble(dbody: DiscretizedBody, kernel: HyperKernel) -> KernelMatrix:
         kernel=kernel,
         condition=float(condition),
         _factor=tuple(factors),
-        _sqrt_w=np.repeat(np.sqrt(dbody.weights), 3),
         _orbits=orbits,
     )
 
@@ -581,48 +579,44 @@ def force_torque(f: np.ndarray, dbody: DiscretizedBody):
 
 @dataclass(eq=False)
 class ResistanceSet:
-    """The tensors K, S, C, B, the 6x6 grand matrix A and solver diagnostics.
+    """The 6x6 grand resistance matrix A = [[K, S], [C, B]] and solver diagnostics.
 
-    spin_nullity flags rigid rotations with identically zero boundary data:
-    1 for a body whose nodes are collinear through the origin (no resistance
-    to spin about ``spin_axis``), 3 for a single node.  The corresponding
-    rows/columns of B vanish identically and A is only positive
-    semi-definite; such modes are reported, never silently inverted.
+    A is the one stored matrix: K, S, C and B are views of its 3x3 blocks,
+    and ``asymmetry`` and ``min_eigenvalue`` are computed from it on each
+    read.  spin_nullity flags rigid rotations with identically zero boundary
+    data: 1 for a body whose nodes are collinear through the origin (no
+    resistance to spin about ``spin_axis``), 3 for a single node.  The
+    corresponding rows/columns of B vanish identically and A is only
+    positive semi-definite; such modes are reported, never silently inverted.
     """
 
-    K: np.ndarray
-    S: np.ndarray
-    C: np.ndarray
-    B: np.ndarray
     A: np.ndarray
-    n_nodes: int
-    condition: float
-    asymmetry: float
-    min_eigenvalue: float
+    n_nodes: int = 0
+    condition: float = np.nan
     spin_nullity: int = 0
     spin_axis: np.ndarray | None = None
 
     @classmethod
-    def from_blocks(cls, K, S, C, B, n_nodes: int = 0, condition: float = np.nan,
-                    spin_nullity: int = 0, spin_axis: np.ndarray | None = None):
-        """Assemble a ResistanceSet from 3x3 blocks and compute its diagnostics."""
+    def from_blocks(cls, K, S, C, B, **diagnostics):
+        """A ResistanceSet whose A is [[K, S], [C, B]]; ``diagnostics`` are its other fields."""
         K, S, C, B = (np.asarray(m, dtype=float) for m in (K, S, C, B))
-        a = np.block([[K, S], [C, B]])
-        asym = float(np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-300))
-        min_eig = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
-        return cls(
-            K=K,
-            S=S,
-            C=C,
-            B=B,
-            A=a,
-            n_nodes=n_nodes,
-            condition=condition,
-            asymmetry=asym,
-            min_eigenvalue=min_eig,
-            spin_nullity=spin_nullity,
-            spin_axis=spin_axis,
-        )
+        return cls(A=np.block([[K, S], [C, B]]), **diagnostics)
+
+    # the 3x3 blocks, as views of A
+    K = property(lambda self: self.A[:3, :3])
+    S = property(lambda self: self.A[:3, 3:])
+    C = property(lambda self: self.A[3:, :3])
+    B = property(lambda self: self.A[3:, 3:])
+
+    @property
+    def asymmetry(self) -> float:
+        """|A - A^T| / |A| in the Frobenius norm."""
+        return float(np.linalg.norm(self.A - self.A.T) / max(np.linalg.norm(self.A), 1e-300))
+
+    @property
+    def min_eigenvalue(self) -> float:
+        """The smallest eigenvalue of the symmetric part of A."""
+        return float(np.linalg.eigvalsh(0.5 * (self.A + self.A.T)).min())
 
 
 def _spin_degeneracy(nodes: np.ndarray):
@@ -665,10 +659,8 @@ def resistance(
     f = km.solve(u.reshape(3 * n, 6)).reshape(n, 3, 6)
     a = np.einsum("k,kia,kib->ab", w, u, f)
     nullity, axis = _spin_degeneracy(x)
-    return ResistanceSet.from_blocks(
-        a[:3, :3].copy(), a[:3, 3:].copy(), a[3:, :3].copy(), a[3:, 3:].copy(),
-        n_nodes=n, condition=km.condition, spin_nullity=nullity, spin_axis=axis,
-    )
+    return ResistanceSet(A=a, n_nodes=n, condition=km.condition,
+                         spin_nullity=nullity, spin_axis=axis)
 
 
 def disturbance_velocity(

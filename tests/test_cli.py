@@ -234,6 +234,11 @@ class TestNondim:
         assert ell == pytest.approx(0.1, rel=1e-12)
         assert not notes
 
+    def test_thickness_above_reference_length_is_noted(self):
+        _, re, ell, notes = nondim(rho=1000.0, mu=10.0, g_phys=9.81, d=0.001, L=0.002)
+        assert re < 0.1 and ell == pytest.approx(2.0, rel=1e-15)
+        assert notes == ["L = 0.002 exceeds the reference length d = 0.001"]
+
     def test_viscosity_scaling(self):
         base = nondim(rho=500.0, mu=2.0, g_phys=9.81, d=0.01, L=0.002)
         doubled = nondim(rho=500.0, mu=4.0, g_phys=9.81, d=0.01, L=0.002)
@@ -303,6 +308,45 @@ class TestBodyIO:
         result = runner.invoke(main, ["body", "info", str(path)])
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error[invalid-body]: {message}")
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "body file must contain a JSON object"),
+        ({"name": "", "segments": [{"points": [[0, 0, 0], [1, 0, 0]]}]},
+         "body 'name' must be a non-empty string"),
+        ({"name": "x", "m_c": True, "segments": [{"points": [[0, 0, 0], [1, 0, 0]]}]},
+         "body 'm_c' must be a number"),
+        ({"name": "x", "segments": [{"density": 1.0}]},
+         "segment 0 must be an object with 'points'"),
+    ], ids=["not-an-object", "empty-name", "bool-m_c", "no-points"])
+    def test_body_from_dict_refuses(self, data, message):
+        from hyperstokes import BodyConfigError
+
+        with pytest.raises(BodyConfigError, match=f"^{message}$"):
+            body_from_dict(data)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "body file not found: "),
+        ('{"name": "x",', "body file is not valid JSON: "),
+    ], ids=["missing", "invalid-json"])
+    def test_load_body_refuses_unreadable_file(self, tmp_path, text, message):
+        from hyperstokes import BodyConfigError
+
+        path = tmp_path / "body.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(BodyConfigError, match=f"^{message}"):
+            load_body(str(path))
+
+    def test_non_finite_floats_are_written_as_strings(self):
+        from hyperstokes.serialize import format_float
+
+        assert [format_float(v) for v in (np.nan, np.inf, -np.inf)] == ['"nan"', '"inf"',
+                                                                          '"-inf"']
+        assert json_text({"a": [np.float64(np.nan), 1.5]}) == '{"a":["nan",1.5]}'
+
+    def test_json_text_refuses_unsupported_types(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            json_text({"a": {1, 2}})
 
     def test_info_refuses_m_c_beyond_float_range(self, runner, tmp_path):
         path = tmp_path / "body.json"
@@ -616,6 +660,12 @@ class TestTrajectoryCommands:
         )
         assert result.exit_code == 2
 
+    def test_convergence_rejects_empty_resolutions(self, runner, rod_file):
+        result = runner.invoke(main, ["convergence", rod_file, "--resolutions", " , "])
+        assert result.exit_code == 2
+        assert result.stderr == ("error[invalid-argument]: --resolutions must list at least "
+                                 "one value\n")
+
     @pytest.mark.parametrize("command", ["resistance", "freefall", "symmetry", "fall-sim",
                                          "fixed-points", "convergence"])
     def test_help_explains_condition_options(self, runner, command):
@@ -772,6 +822,7 @@ class TestErrorSlugs:
     @pytest.mark.parametrize("args", [
         ["fall-sim", "--g0", "0", "0", "1", "--dt", "1e-12", "--t-end", "10"],  # 72.8 TiB
         ["fixed-points", "--grid", "100000000000"],  # 745 GiB
+        ["fixed-points", "--grid", "1" + "0" * 400],  # an int beyond the float range
         ["resistance", "--resolution", "1e15"],  # 3.55 PiB of nodes
     ])
     def test_argument_larger_than_memory_rejected(self, runner, octa_file, args):

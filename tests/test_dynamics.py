@@ -60,6 +60,12 @@ class TestInstantaneousMotion:
         assert np.allclose(two[0], 2.0 * one[0], rtol=1e-13)
         assert np.allclose(two[1], 2.0 * one[1], rtol=1e-13, atol=1e-18)
 
+    @pytest.mark.parametrize("g", [[np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [0.0, 1.0]],
+                             ids=["nan", "inf", "two-vector"])
+    def test_gravity_direction_must_be_a_finite_3_vector(self, g):
+        with pytest.raises(InvalidArgument, match="G must be a finite 3-vector"):
+            instantaneous_motion(spinny_input(), g)
+
     def test_singular_grand_matrix_raises(self, suite_solutions):
         dbody, res = suite_solutions[("rod", 8)]  # zero axial-spin mode
         inp = FreefallInput.from_body(dbody, res)
@@ -267,6 +273,13 @@ class TestFindFixedPoints:
             assert len(result.points) == len(ref.points)
             for (g, r), (g_ref, r_ref) in zip(result.points, ref.points):
                 assert np.array_equal(g, g_ref) and r == r_ref
+
+    @pytest.mark.parametrize("grid", [10**400, np.int64(2**62)], ids=["beyond-float", "int64"])
+    def test_whole_lattice_size_beyond_memory_is_refused(self, grid):
+        from hyperstokes.dynamics import check_grid_resolution
+
+        with pytest.raises(InvalidArgument, match=f"a lattice of {grid} points needs .* GiB"):
+            check_grid_resolution(grid)
 
     def test_lattice_larger_than_memory_rejected(self, monkeypatch):
         import hyperstokes.errors as err

@@ -10,6 +10,7 @@ from hyperstokes import geometry
 from hyperstokes import (
     BodyConfigError,
     BodyGeometry,
+    HyperKernel,
     InvalidArgument,
     Segment,
     bent_rod,
@@ -110,6 +111,16 @@ class TestMassProperties:
         body = BodyGeometry(name="b", segments=rod(1.0).segments, m_c=2.0)
         with pytest.raises(BodyConfigError):
             mass_properties(body)
+
+    def test_m_e_and_r_are_computed_from_the_fields(self):
+        import dataclasses
+
+        body = BodyGeometry(name="b", segments=two_density_rod().segments, m_c=0.25)
+        mass = mass_properties(body)
+        assert [f.name for f in dataclasses.fields(mass)] == [
+            "m", "m_c", "center_of_mass", "centroid", "total_length"]
+        assert mass.m_e == mass.m - mass.m_c
+        assert np.array_equal(mass.r, mass.centroid - mass.center_of_mass)
 
 
 class TestDiscretize:
@@ -412,6 +423,16 @@ class TestTransform:
         with pytest.raises(InvalidArgument):
             transform(rod(1.0), np.eye(3) * 1.5, np.zeros(3))
 
+    def test_rejects_a_matrix_that_is_not_3x3(self):
+        with pytest.raises(InvalidArgument, match="3x3"):
+            geometry.ensure_orthogonal(np.eye(2))
+
+    @pytest.mark.parametrize("t", [(1.0, 2.0), (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)],
+                             ids=["two-vector", "nan", "inf"])
+    def test_rejects_a_translation_that_is_not_a_finite_3_vector(self, t):
+        with pytest.raises(InvalidArgument, match="translation must be a finite 3-vector"):
+            transform(rod(1.0), np.eye(3), t)
+
     def test_discretize_commutes_with_transform(self, rng):
         from scipy.stats import ortho_group
 
@@ -494,12 +515,16 @@ class TestBuilders:
             (tripod_tetrahedron, (0.0,)),
             (octahedron_frame, (-2.0,)),
             (helix, (0.0, 0.1, 3)),
+            (bent_rod, (180.0, 1.0)),  # an opening angle of 180 deg or more
         ],
     )
     def test_builders_reject_bad_dimensions(self, builder, args):
         with pytest.raises(InvalidArgument):
             builder(*args)
 
+    def test_helix_has_sixteen_edges_per_turn(self):
+        assert len(helix(0.2, 0.1, 3).segments[0].density) == 48
+        assert len(helix(0.2, 0.1, 0.5).segments[0].density) == 8
 
 class TestValidation:
     def test_segment_needs_two_points(self):
@@ -532,6 +557,15 @@ class TestValidation:
             mass_properties(body)
         with pytest.raises(BodyConfigError, match="overflow"):
             discretize(body, 1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_segment_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(BodyConfigError, match="non-finite coordinates"):
+            Segment(points=np.array([[0.0, 0.0, 0.0], [1.0, bad, 0.0]]))
+
+    def test_body_holds_segments_only(self):
+        with pytest.raises(BodyConfigError, match="Segment instances"):
+            BodyGeometry(name="b", segments=(rod(1.0).segments[0], np.zeros((2, 3))))
 
     def test_body_needs_segments(self):
         with pytest.raises(BodyConfigError):
@@ -587,3 +621,16 @@ class TestValidation:
             assert bool(caught) != connected
             outcomes.add(connected)
         assert outcomes == {True, False}
+
+
+# the builders, the kernel and discretize share errors._require_positive
+@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: rod(v), "length"),
+    (lambda v: helix(0.2, 0.1, v), "turns"),
+    (lambda v: HyperKernel(ell=v), "ell"),
+    (lambda v: discretize(rod(1.0), v), "resolution"),
+], ids=["rod", "helix", "kernel", "discretize"])
+def test_boolean_is_not_a_positive_number(call, name, flag):
+    with pytest.raises(InvalidArgument, match=f"^{name} must be positive, got True$"):
+        call(flag)

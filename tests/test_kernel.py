@@ -109,6 +109,11 @@ class TestGreenScalar:
         with pytest.raises(InvalidArgument):
             green_scalar([np.inf, 0.0, 0.0], k)
 
+    @pytest.mark.parametrize("x", [[1.0, 0.0], np.zeros((4, 2)), 1.0], ids=["2", "4x2", "scalar"])
+    def test_rejects_points_that_are_not_3_vectors(self, x):
+        with pytest.raises(InvalidArgument, match="expected 3-vector"):
+            green_scalar(x, HyperKernel(ell=1.0))
+
 
 class TestGreenClassical:
     def test_values(self):

@@ -144,6 +144,13 @@ def test_single_threaded_pins_and_restores(routines):
         set_(before)
 
 
+def test_library_without_thread_calls_has_none():
+    class NoThreadCalls:  # a library that exports neither call
+        pass
+
+    assert _lapack._thread_calls(NoThreadCalls(), "64_") is None
+
+
 def test_single_threaded_without_thread_calls_pins_nothing(monkeypatch):
     monkeypatch.setattr(_lapack, "_threads", None)
     with _lapack.single_threaded() as pinned:

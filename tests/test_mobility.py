@@ -578,6 +578,22 @@ class TestTwoWorkerFill:
         assert helper_done and threading.active_count() == alive
 
 
+class TestUsableCpus:
+    def test_affinity_mask_counts(self, monkeypatch):
+        import hyperstokes.mobility as mob
+
+        monkeypatch.setattr(mob.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert mob._usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, usable", [(6, 6), (None, 1)])
+    def test_cpu_count_without_affinity_call(self, monkeypatch, count, usable):
+        import hyperstokes.mobility as mob
+
+        monkeypatch.delattr(mob.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mob.os, "cpu_count", lambda: count)
+        assert mob._usable_cpus() == usable
+
+
 class TestSolveRigid:
     def test_zero_data_gives_zero(self, kernel):
         km = assemble(discretize(rod(1.0), 8), kernel)
@@ -610,6 +626,14 @@ class TestSolveRigid:
         km = assemble(discretize(rod(1.0), 8), kernel)
         with pytest.raises(InvalidArgument):
             solve_rigid(km, np.array([np.nan, 0.0, 0.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("xi, omega", [((1.0, 0.0), (0.0, 0.0, 0.0)),
+                                           ((0.0, 0.0, 0.0), np.zeros((3, 1)))],
+                             ids=["two-vector-xi", "column-omega"])
+    def test_rigid_velocity_must_be_3_vectors(self, kernel, xi, omega):
+        km = assemble(discretize(rod(1.0), 8), kernel)
+        with pytest.raises(InvalidArgument, match="xi and omega must be 3-vectors"):
+            solve_rigid(km, xi, omega)
 
     def test_force_torque_validation(self, kernel):
         dbody = discretize(rod(1.0), 8)
@@ -744,6 +768,26 @@ class TestResistance:
         )
         assert res.asymmetry == 0.0
         assert res.min_eigenvalue == pytest.approx(1.0)
+
+    def test_from_blocks_takes_nested_lists_and_diagnostics(self):
+        res = ResistanceSet.from_blocks(
+            [[2, 0, 0], [0, 2, 0], [0, 0, 2]], np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3),
+            n_nodes=7, condition=3.5, spin_nullity=1, spin_axis=np.array([1.0, 0.0, 0.0]),
+        )
+        assert res.A.dtype == float and np.array_equal(res.A, np.diag([2.0, 2, 2, 1, 1, 1]))
+        assert (res.n_nodes, res.condition, res.spin_nullity) == (7, 3.5, 1)
+        assert np.array_equal(res.spin_axis, [1.0, 0.0, 0.0])
+
+    def test_a_is_the_one_stored_matrix(self, suite_solutions):
+        assert [f.name for f in dataclasses.fields(ResistanceSet)] == [
+            "A", "n_nodes", "condition", "spin_nullity", "spin_axis"]
+        _, res = suite_solutions[("tripod", 8)]
+        a = res.A
+        for block, rows, cols in ((res.K, 0, 0), (res.S, 0, 3), (res.C, 3, 0), (res.B, 3, 3)):
+            assert np.shares_memory(block, a)
+            assert np.array_equal(block, a[rows:rows + 3, cols:cols + 3])
+        assert res.asymmetry == np.linalg.norm(a - a.T) / np.linalg.norm(a)
+        assert res.min_eigenvalue == np.linalg.eigvalsh(0.5 * (a + a.T)).min()
 
 
 class TestDisturbanceVelocity:

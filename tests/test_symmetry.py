@@ -195,6 +195,18 @@ class TestTranslationalOrientation:
         assert nullity == 3
         assert np.array_equal(g, [0.0, 0.0, 1.0])
 
+    def test_sign_of_g_makes_its_largest_component_positive(self):
+        # C has the null direction e3; K and -K give K e3 of both signs, so
+        # one of the two turns g around whatever sign the SVD gives e3
+        k = np.array([[1.0, 0.0, 0.2], [0.0, 1.0, -0.5], [0.2, -0.5, 1.0]])
+        c = np.diag([0.4, 0.5, 0.0])
+        gs = [translational_orientation_plane(ResistanceSet.from_blocks(kk, c.T, c, np.eye(3)))
+              for kk in (k, -k)]
+        for g, nullity in gs:
+            assert nullity == 1
+            assert np.allclose(g, k[:, 2] / np.linalg.norm(k[:, 2]), rtol=0.0, atol=1e-15)
+        assert np.array_equal(gs[0][0], gs[1][0])
+
     def test_regular_coupling_raises(self):
         c = np.diag([0.4, 0.5, 0.6])
         res = ResistanceSet.from_blocks(np.eye(3), c.T, c, np.eye(3))
