@@ -6,7 +6,6 @@ Each class carries the ``slug`` that the command line prints as
 """
 
 import os
-from decimal import Decimal
 
 import numpy as np
 
@@ -89,6 +88,8 @@ def _check_memory(need: float, what_needs: str, advice: str, error=AssemblyError
             try:
                 gib = f"{need / 2**30:.3g}"
             except OverflowError:  # a whole number of bytes whose GiB no float holds
+                from decimal import Decimal  # here only: a CLI call would pay its import
+
                 gib = f"{Decimal(need) / 2**30:.3g}"
             raise error(f"{what_needs} {gib} GiB, more than the {have / 2**30:.3g} GiB of {what}; "
                         f"{advice}")

@@ -822,8 +822,8 @@ class TestErrorSlugs:
     @pytest.mark.parametrize("args", [
         ["fall-sim", "--g0", "0", "0", "1", "--dt", "1e-12", "--t-end", "10"],  # 72.8 TiB
         ["fixed-points", "--grid", "100000000000"],  # 745 GiB
-        ["fixed-points", "--grid", "1" + "0" * 400],  # an int beyond the float range
         ["resistance", "--resolution", "1e15"],  # 3.55 PiB of nodes
+        ["fixed-points", "--grid", "1" + "0" * 400],  # an int beyond the float range
     ])
     def test_argument_larger_than_memory_rejected(self, runner, octa_file, args):
         result = runner.invoke(main, [args[0], octa_file, *args[1:]])
