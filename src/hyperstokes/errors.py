@@ -5,9 +5,9 @@ Each class carries the ``slug`` that the command line prints as
 ``error[<slug>]: <message>``.
 """
 
+import math
+import numbers
 import os
-
-import numpy as np
 
 _MEMINFO = "/proc/meminfo"
 
@@ -57,10 +57,18 @@ class NoTranslationalOrientation(HyperstokesError):
 
 def _require_positive(**values: float) -> None:
     """Raise InvalidArgument naming the first of ``values``, in argument
-    order, that is not a positive finite number; a boolean is not a number."""
+    order, that is not a positive real number that a float holds finitely.
+    A boolean and a string are not numbers; a number beyond the float range
+    is not printed, as str() refuses an integer of more than 4300 digits."""
     for name, value in values.items():
-        if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value > 0):
-            raise InvalidArgument(f"{name} must be positive, got {value}")
+        try:
+            if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and 0.0 < float(value) < math.inf):
+                continue
+            shown = repr(value) if isinstance(value, str) else value
+        except OverflowError:
+            shown = "a number beyond the float range"
+        raise InvalidArgument(f"{name} must be positive, got {shown}")
 
 
 def _physical_memory_bytes() -> int:

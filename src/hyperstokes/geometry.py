@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from math import ceil, cos, pi, sin, sqrt
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import BodyConfigError, InvalidArgument, _check_memory, _require_po
 __all__ = [
     "Segment",
     "BodyGeometry",
+    "Edges",
     "MassProperties",
     "DiscretizedBody",
     "Involution",
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
-_NODE_BYTES = 100  # a node's position, weight and density, with their per-edge pieces
+_NODE_BYTES = 100  # a node's position, weight and density, with the temporaries that build them
 _CHUNK_PAIRS = 250_000  # point pairs per step of the diameter, neighbour and touch searches
 _INVOLUTION_RTOL = 1e-12  # node positions match to this fraction of the cloud's radius
 _INVOLUTION_CANDIDATES = 64  # anchor images tried before giving up
@@ -87,12 +88,9 @@ class Segment:
             )
         if not np.all(np.isfinite(dens)) or np.any(dens <= 0.0):
             raise BodyConfigError("density values must be positive and finite")
-        pts = pts.copy()
-        dens = dens.copy()
-        pts.setflags(write=False)
-        dens.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "density", dens)
+        for name, array in (("points", pts.copy()), ("density", dens.copy())):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +115,29 @@ class BodyGeometry:
             raise BodyConfigError(f"m_c must be >= 0, got {self.m_c}")
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "m_c", float(self.m_c))
+
+    @cached_property
+    def edges(self) -> Edges:
+        """The body's edge table, built on first read; every walk over the edges reads it."""
+        segs = self.segments
+        p0, p1 = np.vstack([s.points[:-1] for s in segs]), np.vstack([s.points[1:] for s in segs])
+        table = Edges(p0, p1, np.concatenate([s.density for s in segs]),
+                      np.array([np.linalg.norm(step) for step in p1 - p0]),
+                      np.repeat(np.arange(len(segs)), [len(s.density) for s in segs]))
+        for array in vars(table).values():
+            array.setflags(write=False)
+        return table
+
+
+@dataclass(frozen=True, eq=False)
+class Edges:
+    """The straight edges of a body, one read-only row each, segment after segment."""
+
+    p0: np.ndarray  # (E, 3) where each edge starts
+    p1: np.ndarray  # (E, 3) where it ends
+    density: np.ndarray  # (E,) its linear density
+    length: np.ndarray  # (E,) norm of each p1 - p0 alone; an axis-wise norm rounds otherwise
+    segment: np.ndarray  # (E,) the index of its segment in BodyGeometry.segments
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,14 +210,6 @@ class Involution:
     def identity(cls, n: int) -> Involution:
         """Q = I and every one of the ``n`` nodes fixed: the split of a body without symmetry."""
         return cls(Q=np.eye(3), sigma=np.arange(n))
-
-
-def _edges(body: BodyGeometry):
-    """Yield (p0, p1, rho) for every edge of every segment."""
-    for seg in body.segments:
-        pts = seg.points
-        for i, rho in enumerate(seg.density):
-            yield pts[i], pts[i + 1], rho
 
 
 def _cloud_diameter(points: np.ndarray) -> float:
@@ -353,13 +366,11 @@ def mass_properties(body: BodyGeometry) -> MassProperties:
     first moment, which is exact for linear geometry.  Raises BodyConfigError
     when the mass, the length or a moment overflows a float.
     """
-    m = 0.0
-    length = 0.0
-    moment = np.zeros(3)
-    geo_moment = np.zeros(3)
+    edges = body.edges
+    m = length = 0.0
+    moment, geo_moment = np.zeros(3), np.zeros(3)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        for p0, p1, rho in _edges(body):
-            ell = float(np.linalg.norm(p1 - p0))
+        for p0, p1, rho, ell in zip(edges.p0, edges.p1, edges.density, edges.length):
             mid = 0.5 * (p0 + p1)
             m += rho * ell
             length += ell
@@ -418,9 +429,7 @@ def _warn_if_disconnected(body: BodyGeometry) -> None:
         return
     tol = 1e-9 * max(diameter(body), 1e-300)
     ends = np.array([p for s in body.segments for p in (s.points[0], s.points[-1])])
-    starts = np.vstack([s.points[:-1] for s in body.segments])
-    steps = np.vstack([np.diff(s.points, axis=0) for s in body.segments])
-    edge_segment = np.repeat(np.arange(n), [len(s.density) for s in body.segments])
+    starts, steps = body.edges.p0, body.edges.p1 - body.edges.p0
     touch = np.zeros((n, n), dtype=bool)
     rows = max(1, _CHUNK_PAIRS // len(starts))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed distance touches nothing
@@ -428,7 +437,7 @@ def _warn_if_disconnected(body: BodyGeometry) -> None:
             rel = ends[lo:lo + rows, None] - starts
             t = np.clip((rel * steps).sum(axis=2) / (steps * steps).sum(axis=1), 0.0, 1.0)
             end, edge = np.nonzero(np.linalg.norm(rel - t[..., None] * steps, axis=2) <= tol)
-            touch[(lo + end) // 2, edge_segment[edge]] = True
+            touch[(lo + end) // 2, body.edges.segment[edge]] = True
     touch |= touch.T
     reached = frontier = np.arange(n) == 0
     while frontier.any():
@@ -455,27 +464,23 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     _require_positive(resolution=resolution)
     _warn_if_disconnected(body)
     mass = mass_properties(body)
-    edges = list(_edges(body))
-    lengths = [float(np.linalg.norm(p1 - p0)) for p0, p1, _ in edges]
-    sizes = [ell * resolution * (1.0 - 1e-12) for ell in lengths]
+    edges = body.edges
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        sizes = (edges.length * resolution * (1.0 - 1e-12)).tolist()
     if not np.isfinite(sum(sizes)):
         raise InvalidArgument(f"resolution {resolution} asks for more nodes than a float counts")
     counts = [max(1, ceil(size)) for size in sizes]
     _check_memory(_NODE_BYTES * sum(counts), f"{sum(counts)} quadrature nodes need",
                   "lower the resolution", InvalidArgument)
-    nodes, weights, densities = [], [], []
-    for (p0, p1, rho), ell, n in zip(edges, lengths, counts):
-        t = (np.arange(n) + 0.5) / n
-        nodes.append(p0 + t[:, None] * (p1 - p0))
-        weights.append(np.full(n, ell / n))
-        densities.append(np.full(n, rho))
-    x = np.vstack(nodes)
-    w = np.concatenate(weights)
-    rho = np.concatenate(densities)
+    # node k of an edge split into n elements sits at t = (k + 0.5) / n along it
+    k = np.arange(sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = (k + 0.5) / np.repeat(counts, counts)
+    x = np.repeat(edges.p0, counts, axis=0) + t[:, None] * np.repeat(edges.p1 - edges.p0, counts, 0)
+    w = np.repeat(edges.length / counts, counts)
+    rho = np.repeat(edges.density, counts)
     x = x - (w * rho) @ x / float(np.sum(w * rho))
-    x.setflags(write=False)
-    w.setflags(write=False)
-    rho.setflags(write=False)
+    for array in (x, w, rho):
+        array.setflags(write=False)
     return DiscretizedBody(nodes=x, weights=w, densities=rho, mass=mass)
 
 
@@ -513,12 +518,9 @@ def tripod_tetrahedron(edge: float) -> BodyGeometry:
     h = edge * sqrt(2.0 / 3.0)
     rb = edge / sqrt(3.0)
     apex = np.array([0.5 * h, 0.0, 0.0])
-    segs = []
-    for k in range(3):
-        ang = 2.0 * pi * k / 3.0
-        base = np.array([-0.5 * h, rb * cos(ang), rb * sin(ang)])
-        segs.append(Segment(points=np.array([apex, base])))
-    return BodyGeometry(name="tripod_tetrahedron", segments=tuple(segs))
+    segs = tuple(Segment(points=np.array([apex, [-0.5 * h, rb * cos(ang), rb * sin(ang)]]))
+                 for ang in (2.0 * pi * k / 3.0 for k in range(3)))
+    return BodyGeometry(name="tripod_tetrahedron", segments=segs)
 
 
 def octahedron_frame(edge: float) -> BodyGeometry:
@@ -529,23 +531,12 @@ def octahedron_frame(edge: float) -> BodyGeometry:
     """
     _require_positive(edge=edge)
     c = edge / sqrt(2.0)
-    verts = c * np.array(
-        [
-            [1, 0, 0],
-            [-1, 0, 0],
-            [0, 1, 0],
-            [0, -1, 0],
-            [0, 0, 1],
-            [0, 0, -1],
-        ],
-        dtype=float,
-    )
-    segs = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if abs(np.linalg.norm(verts[i] - verts[j]) - edge) < 1e-12 * edge:
-                segs.append(Segment(points=np.array([verts[i], verts[j]])))
-    return BodyGeometry(name="octahedron_frame", segments=tuple(segs))
+    verts = c * np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                         dtype=float)
+    # every pair of vertices is an edge but the three opposite ones, 2k and 2k + 1
+    segs = tuple(Segment(points=verts[[i, j]])
+                 for i, j in combinations(range(6), 2) if i // 2 != j // 2)
+    return BodyGeometry(name="octahedron_frame", segments=segs)
 
 
 def helix(radius: float, pitch: float, turns: float) -> BodyGeometry:
@@ -554,17 +545,15 @@ def helix(radius: float, pitch: float, turns: float) -> BodyGeometry:
     ``pitch`` is the axial advance per full turn.  The polyline has
     ``_HELIX_SAMPLES_PER_TURN`` (16) edges per turn, rounded, and at least
     one edge; it fixes the shape, and :func:`discretize` refines the
-    quadrature on top of it.
+    quadrature on top of it.  A polyline too large for memory (a sample costs
+    about what a node does) is refused with InvalidArgument before sampling.
     """
     _require_positive(radius=radius, pitch=pitch, turns=turns)
-    n = max(1, int(round(_HELIX_SAMPLES_PER_TURN * turns)))
+    count = _HELIX_SAMPLES_PER_TURN * float(turns)  # inf for turns above about 1e307
+    _check_memory(_NODE_BYTES * count, f"{count:.3g} helix edges need", "use fewer turns",
+                  InvalidArgument)
+    n = max(1, int(round(count)))
     t = np.linspace(0.0, 2.0 * pi * turns, n + 1)
-    pts = np.stack(
-        [
-            pitch * t / (2.0 * pi) - 0.5 * pitch * turns,
-            radius * np.cos(t),
-            radius * np.sin(t),
-        ],
-        axis=1,
-    )
+    pts = np.stack([pitch * t / (2.0 * pi) - 0.5 * pitch * turns, radius * np.cos(t),
+                    radius * np.sin(t)], axis=1)
     return BodyGeometry(name="helix", segments=(Segment(points=pts),))

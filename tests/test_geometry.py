@@ -1,7 +1,9 @@
 """Bodies, mass accounting and quadrature: exactness, symmetry, equivariance."""
 
 import hashlib
+import re
 import warnings
+from math import ceil
 
 import numpy as np
 import pytest
@@ -59,6 +61,23 @@ def connected_by_loops(body):
                     t = np.clip((end - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
                     touch[i, j] |= np.linalg.norm(end - a - t * (b - a)) <= tol
     return connected_components(touch, directed=False)[0] == 1
+
+
+def per_edge_quadrature(body, resolution):
+    """discretize's nodes, weights and densities built one edge at a time, as
+    before the edge table: the reference for its whole-array construction."""
+    nodes, weights, densities = [], [], []
+    for seg in body.segments:
+        for i, rho in enumerate(seg.density):
+            p0, p1 = seg.points[i], seg.points[i + 1]
+            ell = float(np.linalg.norm(p1 - p0))
+            n = max(1, ceil(ell * resolution * (1.0 - 1e-12)))
+            t = (np.arange(n) + 0.5) / n
+            nodes.append(p0 + t[:, None] * (p1 - p0))
+            weights.append(np.full(n, ell / n))
+            densities.append(np.full(n, rho))
+    x, w, rho = np.vstack(nodes), np.concatenate(weights), np.concatenate(densities)
+    return x - (w * rho) @ x / float(np.sum(w * rho)), w, rho
 
 
 def two_density_rod():
@@ -121,6 +140,49 @@ class TestMassProperties:
             "m", "m_c", "center_of_mass", "centroid", "total_length"]
         assert mass.m_e == mass.m - mass.m_c
         assert np.array_equal(mass.r, mass.centroid - mass.center_of_mass)
+
+
+def bar_and_hook():
+    """Two segments with a density per edge; the hook starts where the bar ends."""
+    bar = Segment(points=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.2, 0.0]]),
+                  density=np.array([2.0, 1.0]))
+    hook = Segment(points=np.array([[1.0, 0.2, 0.0], [1.0, 0.7, 0.1], [0.6, 1.0, 0.3]]),
+                   density=np.array([0.5, 3.0]))
+    return BodyGeometry(name="bar_and_hook", segments=(bar, hook))
+
+
+class TestEdgeTable:
+    def test_rows_follow_the_segments(self):
+        body = bar_and_hook()
+        edges = body.edges
+        bar, hook = body.segments
+        assert np.array_equal(edges.p0, np.vstack([bar.points[:-1], hook.points[:-1]]))
+        assert np.array_equal(edges.p1, np.vstack([bar.points[1:], hook.points[1:]]))
+        assert np.array_equal(edges.density, [2.0, 1.0, 0.5, 3.0])
+        assert np.array_equal(edges.segment, [0, 0, 1, 1])
+        # each length is the norm of its own vector, not an axis-wise norm of the rows
+        assert [float(ell) for ell in edges.length] == [
+            float(np.linalg.norm(b - a)) for a, b in zip(edges.p0, edges.p1)]
+
+    def test_built_once_and_read_only(self):
+        body = bar_and_hook()
+        assert body.edges is body.edges
+        for name in ("p0", "p1", "density", "length", "segment"):
+            assert not getattr(body.edges, name).flags.writeable, name
+
+    @pytest.mark.parametrize("resolution", [4, 16, 512])
+    def test_discretize_matches_the_per_edge_construction(self, bodies, rng, resolution):
+        from scipy.stats import ortho_group
+
+        cases = [bar_and_hook(), *bodies.values()]
+        cases += [transform(body, q) for body, q in
+                  zip(bodies.values(), ortho_group.rvs(3, size=len(bodies), random_state=rng))]
+        for body in cases:
+            dbody = discretize(body, resolution)
+            x, w, rho = per_edge_quadrature(body, resolution)
+            assert np.array_equal(dbody.nodes, x), body.name
+            assert np.array_equal(dbody.weights, w), body.name
+            assert np.array_equal(dbody.densities, rho), body.name
 
 
 class TestDiscretize:
@@ -522,6 +584,25 @@ class TestBuilders:
         with pytest.raises(InvalidArgument):
             builder(*args)
 
+    @pytest.mark.parametrize("turns", [1e300, 1e308])  # 16 * 1e308 is inf
+    def test_helix_beyond_memory_rejected(self, turns):
+        with pytest.raises(InvalidArgument, match="helix edges need"):
+            helix(0.2, 0.1, turns)
+
+    def test_helix_larger_than_memory_rejected_before_allocating(self, monkeypatch):
+        import hyperstokes.errors as err
+
+        monkeypatch.setattr(err, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(err, "_physical_memory_bytes", lambda: 100 * 16)
+        assert len(helix(0.2, 0.1, 1).segments[0].density) == 16
+
+        def no_samples(*args, **kwargs):
+            raise AssertionError("the helix was sampled before its size was checked")
+
+        monkeypatch.setattr(geometry.np, "linspace", no_samples)
+        with pytest.raises(InvalidArgument, match="physical memory"):
+            helix(0.2, 0.1, 2)
+
     def test_helix_has_sixteen_edges_per_turn(self):
         assert len(helix(0.2, 0.1, 3).segments[0].density) == 48
         assert len(helix(0.2, 0.1, 0.5).segments[0].density) == 8
@@ -623,14 +704,21 @@ class TestValidation:
         assert outcomes == {True, False}
 
 
-# the builders, the kernel and discretize share errors._require_positive
-@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+# the builders, the kernel and discretize share errors._require_positive;
+# str() refuses an integer of more than 4300 digits, so the message must not print it
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"),
+    (np.bool_(True), "True"),
+    (10**400, "a number beyond the float range"),
+    (-10**5000, "a number beyond the float range"),
+    ("1", "'1'"),
+], ids=["bool", "numpy-bool", "int-beyond-float", "int-beyond-str", "string"])
 @pytest.mark.parametrize("call, name", [
     (lambda v: rod(v), "length"),
     (lambda v: helix(0.2, 0.1, v), "turns"),
     (lambda v: HyperKernel(ell=v), "ell"),
     (lambda v: discretize(rod(1.0), v), "resolution"),
 ], ids=["rod", "helix", "kernel", "discretize"])
-def test_boolean_is_not_a_positive_number(call, name, flag):
-    with pytest.raises(InvalidArgument, match=f"^{name} must be positive, got True$"):
-        call(flag)
+def test_boolean_is_not_a_positive_number(call, name, value, shown):
+    with pytest.raises(InvalidArgument, match=f"^{name} must be positive, got {re.escape(shown)}$"):
+        call(value)

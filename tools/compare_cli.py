@@ -6,8 +6,11 @@ OLD and NEW are the roots of two checkouts of this repository, say a copy
 of the parent commit and the working tree.  Every command runs in a fresh
 interpreter as ``python -m hyperstokes.cli ...``, with PYTHONPATH set to
 the checkout's ``src/`` alone, on the five suite bodies at the CLI
-defaults and a few other settings.  The body files are written once, by
-OLD's geometry, into a temporary directory that both sides read.  The
+defaults and a few other settings, and on three bodies that walk their
+edges differently: per-edge densities across segments, a stem that starts
+in the middle of an edge, and two segments that do not touch.  The body
+files are written once, the suite's by OLD's geometry and the other three
+by this script, into a temporary directory that both sides read.  The
 exit code, stdout and stderr of each command are compared byte for byte;
 a checkout's own path in stderr (a traceback) is replaced by
 ``<checkout>`` first.  One line per command says ``same`` or which
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +46,12 @@ for name, (function, args) in {bodies!r}.items():
     body = getattr(geometry, function)(*args)
     Path(sys.argv[1], name + ".json").write_text(json_text(body_to_dict(body)))
 """
+EDGE_BODIES = {  # file name: the segments of a body no builder makes
+    "densities": [{"points": [[0, 0, 0], [0.5, 0, 0], [1, 0.2, 0]], "density": [1, 2]},
+                  {"points": [[1, 0.2, 0], [1, 0.7, 0.1], [0.6, 1, 0.3]], "density": [0.5, 3]}],
+    "tee": [{"points": [[-0.5, 0, 0], [0.5, 0, 0]]}, {"points": [[0, 0, 0], [0, 0.6, 0]]}],
+    "apart": [{"points": [[0, 0, 0], [1, 0, 0]]}, {"points": [[0, 1, 0], [1, 1, 0.5]]}],
+}
 MIRROR = ["1", "0", "0", "0", "1", "0", "0", "0", "-1"]
 PER_BODY = [
     ["body", "info", "{body}"],
@@ -53,6 +63,12 @@ PER_BODY = [
     ["symmetry", "{body}", "--plane-axis", "3"],
     ["fixed-points", "{body}", "--grid", "500"],
     ["fall-sim", "{body}", "--g0", "0.6", "0", "0.8", "--dt", "0.05", "--t-end", "1"],
+    ["convergence", "{body}", "--resolutions", "4,8,16"],
+]
+PER_EDGE_BODY = [
+    ["body", "info", "{body}"],
+    ["resistance", "{body}"],
+    ["freefall", "{body}"],
     ["convergence", "{body}", "--resolutions", "4,8,16"],
 ]
 OTHER = [
@@ -78,7 +94,8 @@ OTHER = [
 def commands(workdir: str) -> list[list[str]]:
     """The argument lists to run, with the body paths filled in."""
     listed = [[a.format(body=f"{workdir}/{name}.json") for a in args]
-              for name in BODIES for args in PER_BODY]
+              for names, per_body in ((BODIES, PER_BODY), (EDGE_BODIES, PER_EDGE_BODY))
+              for name in names for args in per_body]
     return listed + [[a.format(dir=workdir) for a in args] for args in OTHER]
 
 
@@ -89,6 +106,8 @@ def environment(checkout: Path) -> dict:
 def write_bodies(checkout: Path, workdir: str) -> None:
     subprocess.run([sys.executable, "-c", WRITE_BODIES.format(bodies=BODIES), workdir],
                    env=environment(checkout), check=True)
+    for name, segments in EDGE_BODIES.items():
+        Path(workdir, name + ".json").write_text(json.dumps({"name": name, "segments": segments}))
     # a JSON integer beyond the float range
     Path(workdir, "huge_m_c.json").write_text(
         '{"name": "rod", "m_c": 1' + "0" * 400
