@@ -56,11 +56,12 @@ class NoTranslationalOrientation(HyperstokesError):
 
 
 def _require_positive(**values: float) -> None:
-    """Raise InvalidArgument naming the first of ``values``, in argument
-    order, that is not a positive real number that a float holds finitely.
-    A boolean and a string are not numbers; a number beyond the float range
-    is not printed, as str() refuses an integer of more than 4300 digits."""
+    """Raise InvalidArgument naming the first of ``values``, in argument order,
+    that is not a positive real number (a numpy scalar or 0-d array by its item)
+    that a float holds finitely; booleans and strings are not.  A number beyond
+    the float range is not printed: str() refuses an int of over 4300 digits."""
     for name, value in values.items():
+        value = value.item() if getattr(value, "ndim", None) == 0 else value
         try:
             if (isinstance(value, numbers.Real) and not isinstance(value, bool)
                     and 0.0 < float(value) < math.inf):

@@ -475,10 +475,11 @@ def discretize(body: BodyGeometry, resolution: float) -> DiscretizedBody:
     # node k of an edge split into n elements sits at t = (k + 0.5) / n along it
     k = np.arange(sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
     t = (k + 0.5) / np.repeat(counts, counts)
-    x = np.repeat(edges.p0, counts, axis=0) + t[:, None] * np.repeat(edges.p1 - edges.p0, counts, 0)
+    x = t[:, None] * np.repeat(edges.p1 - edges.p0, counts, axis=0)
+    x += np.repeat(edges.p0, counts, axis=0)  # in place: one (N, 3) temporary fewer
     w = np.repeat(edges.length / counts, counts)
     rho = np.repeat(edges.density, counts)
-    x = x - (w * rho) @ x / float(np.sum(w * rho))
+    x -= (w * rho) @ x / float(np.sum(w * rho))
     for array in (x, w, rho):
         array.setflags(write=False)
     return DiscretizedBody(nodes=x, weights=w, densities=rho, mass=mass)

@@ -722,3 +722,9 @@ class TestValidation:
 def test_boolean_is_not_a_positive_number(call, name, value, shown):
     with pytest.raises(InvalidArgument, match=f"^{name} must be positive, got {re.escape(shown)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [np.float32(2.0), np.int64(2), np.array(2.0), 10**30],
+                         ids=["numpy-float", "numpy-int", "zero-d-array", "int-beyond-int64"])
+def test_positive_number_in_another_type_accepted(value):
+    assert np.array_equal(rod(value).segments[0].points, rod(float(value)).segments[0].points)
